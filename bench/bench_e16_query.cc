@@ -5,7 +5,7 @@
 // {16, 64, 256} on a lognormal stream:
 //   * cold view build (first order-based query after a bulk ingest), for
 //     the incremental engine and for the seed-era full path
-//     (set_incremental_view_repair(false): collect + sort all pairs);
+//     (FullRebuildView: collect + sort all pairs);
 //   * WARM REPEATED SINGLE-RANK QUERIES AFTER POINT UPDATES -- the
 //     monitoring hot loop {update one item; query one rank through the
 //     view}. Incremental repair re-sorts only the dirtied level (usually
@@ -29,11 +29,13 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
+#include "core/sorted_view.h"
 #include "window/windowed_req_sketch.h"
 #include "workload/distributions.h"
 
@@ -43,13 +45,20 @@ using req::bench::Clock;
 using req::bench::g_sink;
 using req::bench::SecondsSince;
 
-req::ReqSketch<double> MakeSketch(uint32_t k_base, bool incremental) {
+req::ReqSketch<double> MakeSketch(uint32_t k_base) {
   req::ReqConfig config;
   config.k_base = k_base;
   config.seed = 29;
-  req::ReqSketch<double> sketch(config);
-  sketch.set_incremental_view_repair(incremental);
-  return sketch;
+  return req::ReqSketch<double>(config);
+}
+
+// The seed-era full view rebuild, the reference the incremental repair is
+// measured against: collect every (item, weight) pair and sort them all.
+req::SortedView<double> FullRebuildView(const req::ReqSketch<double>& sketch) {
+  std::vector<std::pair<double, uint64_t>> weighted;
+  weighted.reserve(sketch.RetainedItems());
+  sketch.AppendWeightedItems(&weighted);
+  return req::SortedView<double>(std::move(weighted), sketch.TotalWeight());
 }
 
 struct KResult {
@@ -79,12 +88,18 @@ double ColdBuildUs(uint32_t k, const std::vector<double>& values,
                    bool incremental, int reps) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    auto sketch = MakeSketch(k, incremental);
+    auto sketch = MakeSketch(k);
     sketch.Update(values);
     const auto start = Clock::now();
-    sketch.PrepareSortedView();
+    size_t view_size = 0;
+    if (incremental) {
+      sketch.PrepareSortedView();
+      view_size = sketch.CachedSortedView().size();
+    } else {
+      view_size = FullRebuildView(sketch).size();
+    }
     best = std::min(best, SecondsSince(start) * 1e6);
-    g_sink += sketch.CachedSortedView().size();
+    g_sink += view_size;
   }
   return best;
 }
@@ -94,15 +109,27 @@ double WarmRankNs(uint32_t k, const std::vector<double>& values,
                   bool incremental, int reps, size_t iters) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    auto sketch = MakeSketch(k, incremental);
+    auto sketch = MakeSketch(k);
     sketch.Update(values);
-    sketch.PrepareSortedView();
+    // The full path replaces a long-lived view each query, as a memoized
+    // view cache does: the new view is built while the old one is alive.
+    req::SortedView<double> full_view;
+    if (incremental) {
+      sketch.PrepareSortedView();
+    } else {
+      full_view = FullRebuildView(sketch);
+    }
     const double probe = values[values.size() / 2];
     uint64_t rank = 0;
     const auto start = Clock::now();
     for (size_t i = 0; i < iters; ++i) {
       sketch.Update(values[i]);
-      sketch.GetRanks(&probe, 1, &rank, req::Criterion::kInclusive);
+      if (incremental) {
+        sketch.GetRanks(&probe, 1, &rank, req::Criterion::kInclusive);
+      } else {
+        full_view = FullRebuildView(sketch);
+        full_view.GetRanks(&probe, 1, &rank, req::Criterion::kInclusive);
+      }
       g_sink += rank;
     }
     best = std::min(best,
@@ -171,7 +198,7 @@ int main(int argc, char** argv) {
         WarmRankNs(k, values, /*incremental=*/false, reps, warm_iters);
 
     // Bulk vs scalar on a warm, quiescent sketch.
-    auto sketch = MakeSketch(k, true);
+    auto sketch = MakeSketch(k);
     sketch.Update(values);
     sketch.PrepareSortedView();
     res.retained = sketch.RetainedItems();

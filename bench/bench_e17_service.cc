@@ -246,7 +246,7 @@ HighConnResult RunHighConn(uint16_t port, size_t connections,
         }
 
         // Warmup round: first touch pays connection/adoption and
-        // engine-staging setup -- not the steady-state RTT under test.
+        // first-append setup -- not the steady-state RTT under test.
         for (ReqClient& client : clients) {
           client.Append(metric, chunk.data(), chunk.size());
         }

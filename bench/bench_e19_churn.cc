@@ -2,15 +2,15 @@
 //
 // Claim under test: the sharded registry holds a very large metric
 // directory cheaply -- an idle metric costs sketch payload (<= 1 KiB
-// accounted), not allocator slack or staging buffers; CREATE/DROP touch
+// accounted), not allocator slack or scratch buffers; CREATE/DROP touch
 // one shard; paged prefix LISTs never materialize the directory; and
 // the eviction/rehydration lifecycle is transparent and bit-identical.
 //
 // Setup (all in-process; the wire cost is E17's metric):
 //   1. create storm: `metrics` plain metrics across a grouped namespace
 //      (create latency percentiles);
-//   2. single-writer appends: one small batch per metric -- the lazy
-//      staging path, so no metric materializes an SPSC buffer;
+//   2. single-writer appends: one small batch per metric, each applied
+//      directly to the metric's sketch;
 //   3. idle trim: EvictIdle sweep (memory-only => TrimMemory), then
 //      accounted bytes/metric and observed RSS delta/metric;
 //   4. paged LIST storm: prefix-filtered offset/limit pages sampled
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   std::printf("created %zu metrics in %.2fs (%.0f creates/s)\n", metrics,
               create_wall_s, static_cast<double>(metrics) / create_wall_s);
 
-  // 2. Single-writer appends: the lazy-staging direct path.
+  // 2. Single-writer appends: one direct batch Update per metric.
   std::vector<double> append_us;
   append_us.reserve(create_us.capacity());
   std::vector<double> batch(8);

@@ -45,7 +45,7 @@ using req::bench::JsonWriter;
 using req::bench::SecondsSince;
 using req::service::ChaosConfig;
 using req::service::ChaosProxy;
-using req::service::DeadlinePolicy;
+using req::service::ClientOptions;
 using req::service::MetricSpec;
 using req::service::OverloadedError;
 using req::service::ReqClient;
@@ -70,11 +70,10 @@ std::vector<double> Stream(uint64_t seed, size_t count) {
 
 ReqClient Dial(uint16_t port, uint64_t request_timeout_ms = 10000) {
   ReqClient client;
-  DeadlinePolicy deadlines;
-  deadlines.connect_timeout_ms = 5000;
-  deadlines.request_timeout_ms = request_timeout_ms;
-  client.SetDeadlines(deadlines);
-  client.Connect("127.0.0.1", port);
+  ClientOptions options;
+  options.deadlines.connect_timeout_ms = 5000;
+  options.deadlines.request_timeout_ms = request_timeout_ms;
+  client.Connect("127.0.0.1", port, options);
   return client;
 }
 
@@ -267,16 +266,14 @@ int main(int argc, char** argv) {
               // mid-ping): the retry budget rides through the shed
               // answers until a slot is truly theirs.
               ReqClient client;
-              DeadlinePolicy deadlines;
-              deadlines.connect_timeout_ms = 5000;
-              deadlines.request_timeout_ms = 10000;
-              deadlines.retry_budget_ms = 30000;
-              deadlines.overloaded_backoff_ms = 2;
-              client.SetDeadlines(deadlines);
-              req::service::ReconnectPolicy reconnect;
-              reconnect.max_attempts = 100;
-              client.EnableReconnect(reconnect);
-              client.Connect("127.0.0.1", server.port());
+              ClientOptions options;
+              options.deadlines.connect_timeout_ms = 5000;
+              options.deadlines.request_timeout_ms = 10000;
+              options.deadlines.retry_budget_ms = 30000;
+              options.deadlines.overloaded_backoff_ms = 2;
+              options.reconnect_enabled = true;
+              options.reconnect.max_attempts = 100;
+              client.Connect("127.0.0.1", server.port(), options);
               const std::vector<double> qs = {0.5, 0.9, 0.99};
               for (int w = 0; w < 3; ++w) {
                 req::bench::g_sink += static_cast<uint64_t>(
@@ -318,12 +315,11 @@ int main(int argc, char** argv) {
           try {
             while (storm_on.load(std::memory_order_acquire)) {
               ReqClient dialer;
-              DeadlinePolicy deadlines;
-              deadlines.connect_timeout_ms = 2000;
-              deadlines.request_timeout_ms = 2000;
-              dialer.SetDeadlines(deadlines);
+              ClientOptions options;
+              options.deadlines.connect_timeout_ms = 2000;
+              options.deadlines.request_timeout_ms = 2000;
               try {
-                dialer.Connect("127.0.0.1", server.port());
+                dialer.Connect("127.0.0.1", server.port(), options);
                 dialer.Ping();  // either answered or shed -- both typed
               } catch (const OverloadedError&) {
                 rejections.fetch_add(1, std::memory_order_relaxed);

@@ -21,7 +21,7 @@
 // state bit-identically.
 //
 // Write protocol per append: frame + CRC the batch, append to the live
-// segment, fsync per policy -- all BEFORE the engine stages the items and
+// segment, fsync per policy -- all BEFORE the engine applies the items and
 // the server acknowledges. A torn tail is therefore always an
 // unacknowledged suffix, and recovery may legitimately resurrect slightly
 // MORE than the client saw acknowledged (the record survived, the ack did

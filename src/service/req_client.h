@@ -11,13 +11,14 @@
 // so the client NEVER retries it (retrying a full registry is pure
 // load), and callers can catch the type to shed or re-route tenants.
 //
-// Self-healing: EnableReconnect() arms bounded exponential-backoff
-// reconnection. A client that lost its connection transparently redials
-// before the next request, and IDEMPOTENT requests (queries, Ping, List,
-// Snapshot, Flush) that die mid-flight are re-issued on the fresh
-// connection. Append/Create/Drop are never silently re-sent: a lost ack
-// does not reveal whether the server applied them, so the caller decides
-// (the durable server's response.n makes Append reconciliation exact).
+// Self-healing: ClientOptions::reconnect_enabled arms bounded
+// exponential-backoff reconnection. A client that lost its connection
+// transparently redials before the next request, and IDEMPOTENT requests
+// (queries, Ping, List, Snapshot, Flush) that die mid-flight are
+// re-issued on the fresh connection. Append/Create/Drop are never
+// silently re-sent: a lost ack does not reveal whether the server applied
+// them, so the caller decides (the durable server's response.n makes
+// Append reconciliation exact).
 //
 // Hostile-network posture (see service/chaos_proxy.h): every socket
 // operation is deadline-bounded by the DeadlinePolicy -- Connect() uses
@@ -50,7 +51,7 @@
 namespace req {
 namespace service {
 
-// Backoff schedule for EnableReconnect: attempt k sleeps a jittered
+// Backoff schedule for reconnection: attempt k sleeps a jittered
 // interval in [b/2, b] with b = initial * 2^k capped at max_backoff_ms.
 struct ReconnectPolicy {
   int max_attempts = 6;
@@ -105,10 +106,9 @@ struct DeadlinePolicy {
 };
 
 // Everything configurable about a client in one bundle, passed at
-// Connect(): deadlines plus the reconnect switch and its policy. This is
-// the v3 front door -- the scattered EnableReconnect()/SetDeadlines()
-// call sequences remain as thin shims that delegate into the same
-// options, so a caller can no longer connect with half its knobs set.
+// Connect(): deadlines plus the reconnect switch and its policy. It is
+// the only way to configure a client, so a caller can never connect with
+// half its knobs set.
 struct ClientOptions {
   DeadlinePolicy deadlines;
   ReconnectPolicy reconnect;
@@ -167,21 +167,6 @@ class ReqClient {
     decoder_ = FrameDecoder();
   }
 
-  // Arms transparent reconnection (see the class comment). Takes effect
-  // from the next request; requires a successful Connect() first so the
-  // client knows where to redial. Shim over options().
-  void EnableReconnect(const ReconnectPolicy& policy = {}) {
-    util::CheckArg(policy.max_attempts > 0, "max_attempts must be > 0");
-    options_.reconnect_enabled = true;
-    options_.reconnect = policy;
-  }
-  void DisableReconnect() { options_.reconnect_enabled = false; }
-
-  // Installs socket deadlines + retry budget; takes effect from the next
-  // Connect()/request. Shim over options().
-  void SetDeadlines(const DeadlinePolicy& deadlines) {
-    options_.deadlines = deadlines;
-  }
   const DeadlinePolicy& deadlines() const { return options_.deadlines; }
 
   // The full option bundle currently in effect.

@@ -12,22 +12,22 @@
 //   kWindowed -> WindowedReqSketch<double>: count-driven sliding window
 //                (bucket_items per bucket, num_buckets buckets).
 //
-// Ingest path (all kinds): APPEND batches are staged through an SPSC
-// buffer (concurrency/spsc_buffer.h) and drained into the underlying
-// sketch in batches, so the per-item cost stays on the batch fast path and
-// appends never hold the sketch lock for more than one drain. The staging
-// producer role is serialized by a per-engine append mutex (many
-// connections may append to one metric; they take turns as the SPSC
-// producer), the consumer role by the engine state mutex.
+// Ingest path: every engine serializes its appends on a per-engine append
+// mutex (many connections may append to one metric; they take turns), so
+// the WAL's batch order is the engine's apply order. Plain and windowed
+// engines apply each batch directly with one batch Update under their
+// state mutex. The sharded engine rotates whole batches across
+// ShardedReqSketch's per-shard SPSC buffers, which is the one place
+// ingest is buffered.
 //
-// Query path (plain/windowed): queries first drain staged items (so every
-// APPEND acknowledged before the query is visible), then run against an
-// epoch-tagged snapshot -- a standalone ReqSketch copy with its sorted
-// view prewarmed, cached in a concurrency::EpochSnapshotCache and rebuilt
-// only after a drain actually changed the state. While a metric is not
-// being appended to, any number of connections query it lock-free. The
-// sharded engine delegates to ShardedReqSketch's own epoch-cached merged
-// view, which implements the same pattern internally.
+// Query path (plain/windowed): queries run against an epoch-tagged
+// snapshot -- a standalone ReqSketch copy with its sorted view prewarmed,
+// cached in a concurrency::EpochSnapshotCache and rebuilt only after an
+// append changed the state, so every APPEND acknowledged before the query
+// is visible. While a metric is not being appended to, any number of
+// connections query it lock-free. The sharded engine flushes its shard
+// buffers and then delegates to ShardedReqSketch's own epoch-cached
+// merged view, which implements the same pattern internally.
 //
 // Tenancy spine (the million-metric refactor): the name->engine map is
 // sharded by name hash into kRegistryShards independent mutex+map shards,
@@ -71,7 +71,6 @@
 
 #include "concurrency/epoch_snapshot.h"
 #include "concurrency/sharded_req_sketch.h"
-#include "concurrency/spsc_buffer.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
 #include "persist/metric_log.h"
@@ -141,7 +140,7 @@ inline void ValidateMetricSpec(const MetricSpec& spec) {
 //
 // Durability: when a WAL is attached (SetLog, done by the registry's
 // durability hook or the recovery path), every Append logs its batch
-// BEFORE staging it, under the same append mutex -- so the WAL's batch
+// BEFORE applying it, under the same append mutex -- so the WAL's batch
 // order IS the engine's apply order, and the engine's state at WAL
 // position L is exactly "the first L batches applied". Snapshot() and the
 // checkpoint hooks quiesce the append path to pin that correspondence.
@@ -158,15 +157,16 @@ class MetricEngine {
     return accepted_n_.load(std::memory_order_acquire);
   }
 
-  // Stages `count` items; rejects NaN up front (strong guarantee: nothing
+  // Applies `count` items; rejects NaN up front (strong guarantee: nothing
   // is applied on throw -- including a WAL write failure, which surfaces
   // as persist::IoError before any state change).
   virtual void Append(const double* data, size_t count) = 0;
 
-  // Makes every staged item query-visible.
-  virtual void Flush() = 0;
+  // Makes every buffered item query-visible. Only the sharded engine
+  // buffers (per shard); the others apply each batch in Append.
+  virtual void Flush() {}
 
-  // Resident heap bytes this engine holds (sketch payload, staging,
+  // Resident heap bytes this engine holds (sketch payload, shard buffers,
   // snapshot caches, allocator slack). The registry's quota accounting
   // charges this figure per metric; it is a measurement, not a contract,
   // and may be briefly stale against concurrent appends.
@@ -200,7 +200,7 @@ class MetricEngine {
   }
 
   // Order-based queries. Observe every append acknowledged before the
-  // call (each query drains staging first).
+  // call.
   virtual std::vector<uint64_t> GetRanks(const std::vector<double>& ys,
                                          Criterion criterion) = 0;
   virtual std::vector<double> GetQuantiles(const std::vector<double>& qs,
@@ -251,7 +251,7 @@ class MetricEngine {
     if (retired_.load(std::memory_order_relaxed)) throw MetricRetired();
   }
 
-  // Serializes the producer role (SPSC producer / shard rotation) across
+  // Serializes appends (the apply order / shard rotation) across
   // appending connections, and pins the WAL-position <-> engine-state
   // correspondence for snapshots and checkpoints.
   std::mutex append_mutex_;
@@ -285,24 +285,19 @@ inline void CheckAppendable(const double* data, size_t count) {
 
 }  // namespace detail
 
-// --- staged engines (plain / windowed) -------------------------------------
+// --- single-sketch engines (plain / windowed) -----------------------------
 
-// Shared machinery for the engines that stage appends through one SPSC
-// buffer into a single underlying structure and serve queries from an
-// epoch-cached ReqSketch snapshot. Derived classes choose the underlying
-// type and how to snapshot it; the staging/epoch protocol lives here
-// exactly once.
+// Shared machinery for the engines that apply appends directly to one
+// underlying structure and serve queries from an epoch-cached ReqSketch
+// snapshot. Derived classes choose the underlying type and how to
+// snapshot it; the append/epoch protocol lives here exactly once.
 //
-// Lazy staging: the SPSC buffer does not exist until a second connection
-// is actually observed appending (a try-lock miss on the append mutex).
-// Until then appends take the direct batch path -- one state-lock'd
-// Update(data, count) -- with zero staging allocation, which is what
-// makes a million single-writer metrics affordable. The two paths build
-// bit-identical sketches: the batch Update is documented to chunk
-// invariantly, so where the drain boundaries fall cannot change the
-// result.
+// Appends are serialized by the append mutex: a concurrent writer waits
+// its turn, then applies its whole batch with one batch Update(data,
+// count). The sketch therefore depends only on the order the batches land
+// in, which is also their WAL order.
 template <typename Underlying>
-class StagedEngineBase : public MetricEngine {
+class SingleSketchEngineBase : public MetricEngine {
  public:
   using Sketch = ReqSketch<double>;
 
@@ -310,81 +305,42 @@ class StagedEngineBase : public MetricEngine {
 
   void Append(const double* data, size_t count) override {
     detail::CheckAppendable(data, count);
-    // A try-lock miss is the one observable signature of a concurrent
-    // writer; record it, then queue normally. The flag is sticky -- once
-    // contended, the metric keeps its staging buffer for life.
-    std::unique_lock<std::mutex> produce(append_mutex_, std::try_to_lock);
-    if (!produce.owns_lock()) {
-      contended_.store(true, std::memory_order_relaxed);
-      produce.lock();
-    }
+    std::lock_guard<std::mutex> produce(append_mutex_);
     CheckNotRetired();
-    // WAL before staging: if the log write fails (persist::IoError),
+    // WAL before apply: if the log write fails (persist::IoError),
     // nothing was applied and nothing gets acknowledged. The reverse
     // order could acknowledge a batch that never reached the log.
     if (log_) log_->AppendBatch(data, count);
-    if (!staging_ && contended_.load(std::memory_order_relaxed)) {
-      // Materialize under BOTH locks: Drain reads the pointer under the
-      // state mutex, this appender owns the append mutex.
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      staging_ = std::make_unique<concurrency::SpscBuffer<double>>(
-          spec_.buffer_capacity);
-    }
-    if (!staging_) {
-      // Single-writer direct path: apply the batch in place. Same result
-      // as staging + draining, without touching a buffer.
+    {
       std::lock_guard<std::mutex> lock(state_mutex_);
       underlying_.Update(data, count);
+      // Bump INSIDE the lock: a query that rebuilds its snapshot under
+      // the state mutex after this apply must read the bumped epoch, or
+      // the cache could keep serving a snapshot missing this batch.
       epoch_.fetch_add(1, std::memory_order_release);
-    } else {
-      size_t left = count;
-      while (left > 0) {
-        const size_t pushed = staging_->TryPushBulk(data, left);
-        data += pushed;
-        left -= pushed;
-        if (left > 0) Drain();
-      }
     }
     accepted_n_.fetch_add(count, std::memory_order_release);
   }
 
-  void Flush() override { Drain(); }
-
-  // Whether the staging buffer has been materialized (tests and
-  // footprint diagnostics: a serial metric must never pay for one).
-  bool StagingMaterialized() const {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    return staging_ != nullptr;
-  }
-
   size_t MemoryFootprint() const override {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    // underlying_ is embedded, so its MemoryBytes() (which counts
-    // sizeof(Sketch)) must replace -- not add to -- its share of
+    // underlying_ is embedded, so its MemoryBytes() (which counts its
+    // own sizeof) must replace -- not add to -- its share of
     // sizeof(*this).
-    size_t bytes = sizeof(*this) - sizeof(Sketch) +
-                   underlying_.MemoryBytes() +
-                   drain_scratch_.capacity() * sizeof(double);
-    if (staging_) {
-      bytes += sizeof(concurrency::SpscBuffer<double>) +
-               staging_->capacity() * sizeof(double);
-    }
+    size_t bytes =
+        sizeof(*this) - sizeof(Underlying) + underlying_.MemoryBytes();
     if (std::shared_ptr<const Sketch> snap = cache_.Peek()) {
       bytes += snap->MemoryBytes();
     }
     return bytes;
   }
 
-  // Memory-only idle path: drain, drop the snapshot cache, release
-  // scratch and arena slack. Answers are unchanged; the next query
-  // rebuilds its snapshot.
+  // Memory-only idle path: drop the snapshot cache and release arena
+  // slack. Answers are unchanged; the next query rebuilds its snapshot.
   void TrimMemory() override {
     std::lock_guard<std::mutex> produce(append_mutex_);
-    Drain();
     std::lock_guard<std::mutex> lock(state_mutex_);
     underlying_.TrimMemory();
-    drain_scratch_.clear();
-    drain_scratch_.shrink_to_fit();
     cache_.Invalidate();
   }
 
@@ -404,8 +360,8 @@ class StagedEngineBase : public MetricEngine {
  protected:
   // accepted_n != 0 only on the recovery path, restoring the checkpoint's
   // acknowledged-item count before WAL replay re-appends the tail.
-  StagedEngineBase(const MetricSpec& spec, Underlying underlying,
-                   uint64_t accepted_n = 0)
+  SingleSketchEngineBase(const MetricSpec& spec, Underlying underlying,
+                         uint64_t accepted_n = 0)
       : spec_(spec), underlying_(std::move(underlying)) {
     accepted_n_.store(accepted_n, std::memory_order_release);
   }
@@ -414,22 +370,7 @@ class StagedEngineBase : public MetricEngine {
   // state_mutex_ (the sorted-view warm-up happens outside it).
   virtual Sketch MakeSnapshotLocked() = 0;
 
-  void Drain() {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (!staging_) return;  // direct-path appends are already applied
-    drain_scratch_.clear();
-    if (staging_->PopAll(&drain_scratch_) > 0) {
-      underlying_.Update(drain_scratch_.data(), drain_scratch_.size());
-      // Bump INSIDE the lock: a second query thread that serializes
-      // behind this drain (pops nothing) must then read the bumped
-      // epoch, or it could serve a cached snapshot missing items whose
-      // append was acknowledged before that query began.
-      epoch_.fetch_add(1, std::memory_order_release);
-    }
-  }
-
   std::shared_ptr<const Sketch> View() {
-    Drain();
     return cache_.Get(
         [this] { return epoch_.load(std::memory_order_acquire); },
         [this] {
@@ -444,31 +385,27 @@ class StagedEngineBase : public MetricEngine {
   }
 
   const MetricSpec spec_;
-  // Null until a concurrent writer is observed; see the class comment.
-  std::unique_ptr<concurrency::SpscBuffer<double>> staging_;
-  std::atomic<bool> contended_{false};
-  // Guards underlying_, drain_scratch_, the staging pointer, and the
-  // staging consumer role. (The SPSC producer role is serialized by the
-  // base append_mutex_.)
+  // Guards underlying_ against the snapshot builds and accounting reads
+  // that run beside appends. (Appenders are serialized by the base
+  // append_mutex_.)
   mutable std::mutex state_mutex_;
   Underlying underlying_;
-  std::vector<double> drain_scratch_;
   std::atomic<uint64_t> epoch_{0};
   concurrency::EpochSnapshotCache<Sketch> cache_;
 };
 
 // --- plain -----------------------------------------------------------------
 
-class PlainReqEngine final : public StagedEngineBase<ReqSketch<double>> {
+class PlainReqEngine final : public SingleSketchEngineBase<ReqSketch<double>> {
  public:
   explicit PlainReqEngine(const MetricSpec& spec)
-      : StagedEngineBase(spec, Sketch(spec.base)) {}
+      : SingleSketchEngineBase(spec, Sketch(spec.base)) {}
 
   // Recovery: adopts a checkpoint-restored sketch (ReqSerde v2 carries
   // the exact PRNG state, so continuation is bit-identical).
   PlainReqEngine(const MetricSpec& spec, Sketch&& restored,
                  uint64_t accepted_n)
-      : StagedEngineBase(spec, std::move(restored), accepted_n) {}
+      : SingleSketchEngineBase(spec, std::move(restored), accepted_n) {}
 
   EngineKind kind() const override { return EngineKind::kPlain; }
 
@@ -588,19 +525,19 @@ class ShardedReqEngine final : public MetricEngine {
 // --- windowed --------------------------------------------------------------
 
 class WindowedReqEngine final
-    : public StagedEngineBase<window::WindowedReqSketch<double>> {
+    : public SingleSketchEngineBase<window::WindowedReqSketch<double>> {
  public:
   using Window = window::WindowedReqSketch<double>;
 
   explicit WindowedReqEngine(const MetricSpec& spec)
-      : StagedEngineBase(spec, Window(MakeConfig(spec))) {}
+      : SingleSketchEngineBase(spec, Window(MakeConfig(spec))) {}
 
   // Recovery: adopts a checkpoint-restored window (rotation is
   // count-driven, and each bucket's sketch carries its exact PRNG state,
   // so WAL replay rotates and compacts identically).
   WindowedReqEngine(const MetricSpec& spec, Window&& restored,
                     uint64_t accepted_n)
-      : StagedEngineBase(spec, std::move(restored), accepted_n) {}
+      : SingleSketchEngineBase(spec, std::move(restored), accepted_n) {}
 
   EngineKind kind() const override { return EngineKind::kWindowed; }
 
@@ -608,9 +545,8 @@ class WindowedReqEngine final
   std::vector<uint8_t> SnapshotLocked() override {
     // Serialize the window itself (ring, rotations, bucket epochs), not
     // its merged view: a restored snapshot keeps expiring correctly.
-    // (Count-driven rotation happens inside the base drain's batch
-    // update, at the same boundaries per-item feeding would produce.)
-    Drain();
+    // (Count-driven rotation happens inside the batch update, at the
+    // same boundaries per-item feeding would produce.)
     std::lock_guard<std::mutex> lock(state_mutex_);
     std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kWindowed)};
     const std::vector<uint8_t> bytes = underlying_.Serialize();

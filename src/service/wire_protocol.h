@@ -143,8 +143,9 @@ struct MetricSpec {
   ReqConfig base;
   // kSharded: shard count. kPlain/kWindowed ignore it.
   uint32_t num_shards = 4;
-  // SPSC staging capacity in items, all kinds (every engine routes ingest
-  // through a staging buffer; see service/sketch_registry.h).
+  // kSharded: per-shard SPSC staging capacity in items. Validated for
+  // every kind, but only the sharded engine buffers ingest; plain and
+  // windowed engines apply each batch directly and ignore it.
   uint64_t buffer_capacity = 4096;
   // kWindowed: ring size and count-driven rotation threshold.
   uint32_t num_buckets = 8;

@@ -29,7 +29,8 @@
 // by the same double-checked pattern as ReqSketch's sorted-view cache: any
 // number of threads may run const queries concurrently; mutations
 // (Update/Rotate) require exclusive access. For concurrent producers, see
-// concurrency/sharded_windowed_req_sketch.h.
+// the service's WindowedReqEngine (service/sketch_registry.h), which
+// serializes appends on a per-metric mutex.
 //
 // Determinism: bucket lifetime ("epoch") e is seeded base.seed + e, so the
 // full window state is a pure function of the input sequence and rotation

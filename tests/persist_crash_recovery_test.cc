@@ -234,9 +234,10 @@ TEST(CrashRecovery, KilledDaemonRecoversAckedStateBitIdentically) {
   ASSERT_NE(port2, 0) << "reqd failed to recover";
   std::vector<uint64_t> recovered(kMetrics, 0);
   {
+    ClientOptions options;
+    options.reconnect_enabled = true;
     ReqClient client;
-    client.Connect("127.0.0.1", port2);
-    client.EnableReconnect();
+    client.Connect("127.0.0.1", port2, options);
     for (size_t m = 0; m < kMetrics; ++m) {
       recovered[m] = client.Flush(MetricName(m));
       EXPECT_GE(recovered[m], acked[m])

@@ -6,10 +6,10 @@
 //
 // The reference implementation below is the seed-era algorithm verbatim:
 // collect all (item, weight) pairs, std::sort them, scan cumulative
-// weights, and answer each query with its own binary search. The sketch's
-// set_incremental_view_repair(false) knob additionally forces the
-// production view through the seed-era full-rebuild path, pinning
-// incremental repair against full rebuild directly.
+// weights, and answer each query with its own binary search. A second
+// reference, FullRebuildView, is the seed-era full-rebuild path of the
+// production view (collect every weighted pair, build a SortedView from
+// scratch), pinning incremental repair against full rebuild directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "core/req_chain.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
+#include "core/sorted_view.h"
 #include "util/random.h"
 #include "window/windowed_req_sketch.h"
 #include "workload/distributions.h"
@@ -86,6 +87,15 @@ RefView MakeRef(const ReqSketch<double>& sketch) {
   std::vector<std::pair<double, uint64_t>> weighted;
   sketch.AppendWeightedItems(&weighted);
   return RefView(std::move(weighted), sketch.TotalWeight());
+}
+
+// Seed-era full rebuild of the sketch's sorted view: collect every
+// (item, weight) pair and sort, with no per-level runs reused.
+SortedView<double> FullRebuildView(const ReqSketch<double>& sketch) {
+  std::vector<std::pair<double, uint64_t>> weighted;
+  weighted.reserve(sketch.RetainedItems());
+  sketch.AppendWeightedItems(&weighted);
+  return SortedView<double>(std::move(weighted), sketch.TotalWeight());
 }
 
 std::vector<double> MakeProbes(const std::vector<double>& values,
@@ -177,10 +187,6 @@ TEST(QueryEngineEquivalenceTest, IncrementalRepairMatchesFullRebuild) {
   config.k_base = 32;
   config.seed = 5;
   ReqSketch<double> incremental(config);
-  ReqSketch<double> full(config);
-  full.set_incremental_view_repair(false);
-  ASSERT_TRUE(incremental.incremental_view_repair());
-  ASSERT_FALSE(full.incremental_view_repair());
 
   util::Xoshiro256 rng(17);
   const auto values = workload::GenerateUniform(40000, 23);
@@ -189,17 +195,24 @@ TEST(QueryEngineEquivalenceTest, IncrementalRepairMatchesFullRebuild) {
     const size_t end =
         std::min(values.size(), consumed + 1 + rng.NextBounded(3000));
     incremental.Update(values.data() + consumed, end - consumed);
-    full.Update(values.data() + consumed, end - consumed);
     consumed = end;
+    const SortedView<double> full = FullRebuildView(incremental);
+    ASSERT_EQ(incremental.CachedSortedView().items(), full.items());
+    ASSERT_EQ(incremental.CachedSortedView().cum_weights(), full.cum_weights());
     const auto probes = MakeProbes(values, rng, 100);
-    ASSERT_EQ(incremental.GetRanks(probes), full.GetRanks(probes));
+    std::vector<uint64_t> full_ranks(probes.size());
+    full.GetRanks(probes.data(), probes.size(), full_ranks.data(),
+                  Criterion::kInclusive);
+    ASSERT_EQ(incremental.GetRanks(probes), full_ranks);
     for (double q : {0.001, 0.3, 0.5, 0.9, 0.995}) {
-      ASSERT_EQ(incremental.GetQuantile(q), full.GetQuantile(q));
+      ASSERT_EQ(incremental.GetQuantile(q),
+                full.GetQuantile(q, Criterion::kInclusive));
     }
     std::vector<double> splits = probes;
     std::sort(splits.begin(), splits.end());
     splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
-    ASSERT_EQ(incremental.GetCDF(splits), full.GetCDF(splits));
+    ASSERT_EQ(incremental.GetCDF(splits),
+              full.GetCDF(splits, Criterion::kInclusive));
   }
 }
 

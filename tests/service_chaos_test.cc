@@ -89,15 +89,19 @@ class ServiceChaosTest : public ::testing::Test {
     }
   }
 
-  // A client dialed through the proxy, with deadlines tight enough that
-  // every blocked operation resolves well inside the test bounds.
-  ReqClient ConnectViaProxy(uint64_t request_timeout_ms = 2000) {
+  // Deadlines tight enough that every blocked operation resolves well
+  // inside the test bounds.
+  static ClientOptions ProxyOptions(uint64_t request_timeout_ms = 2000) {
+    ClientOptions options;
+    options.deadlines.connect_timeout_ms = 2000;
+    options.deadlines.request_timeout_ms = request_timeout_ms;
+    return options;
+  }
+
+  // A client dialed through the proxy.
+  ReqClient ConnectViaProxy(const ClientOptions& options = ProxyOptions()) {
     ReqClient client;
-    DeadlinePolicy deadlines;
-    deadlines.connect_timeout_ms = 2000;
-    deadlines.request_timeout_ms = request_timeout_ms;
-    client.SetDeadlines(deadlines);
-    client.Connect("127.0.0.1", proxy_->port());
+    client.Connect("127.0.0.1", proxy_->port(), options);
     return client;
   }
 
@@ -153,7 +157,7 @@ TEST_F(ServiceChaosTest, LatencyAndJitterDelayButNeverBreak) {
   chaos.up.jitter_ms = 10;
   chaos.down.latency_ms = 10;
   StartProxy(chaos);
-  ReqClient via = ConnectViaProxy(/*request_timeout_ms=*/5000);
+  ReqClient via = ConnectViaProxy(ProxyOptions(/*request_timeout_ms=*/5000));
   CreateMetric(&via, "slow.m");
   const auto start = Clock::now();
   const std::vector<double> stream = Stream(2, 512);
@@ -169,7 +173,7 @@ TEST_F(ServiceChaosTest, ThrottledLinkHitsClientDeadlineNotForever) {
   ChaosConfig chaos;
   chaos.up.bytes_per_sec = 4096;  // a 256 KiB append would take ~64s
   StartProxy(chaos);
-  ReqClient via = ConnectViaProxy(/*request_timeout_ms=*/300);
+  ReqClient via = ConnectViaProxy(ProxyOptions(/*request_timeout_ms=*/300));
   CreateMetric(&via, "throttle.m");
   const std::vector<double> big = Stream(3, 32768);  // 256 KiB payload
   const auto start = Clock::now();
@@ -241,8 +245,9 @@ TEST_F(ServiceChaosTest, BlackholeBoundedByDeadlineThenHeals) {
   // create behind it crosses into the hole.
   chaos.up.blackhole_after_bytes = 8;
   StartProxy(chaos);
-  ReqClient via = ConnectViaProxy(/*request_timeout_ms=*/300);
-  via.EnableReconnect();
+  ClientOptions options = ProxyOptions(/*request_timeout_ms=*/300);
+  options.reconnect_enabled = true;
+  ReqClient via = ConnectViaProxy(options);
   const auto start = Clock::now();
   // Ping (tiny) passes; the create request crosses the threshold and
   // vanishes into the blackhole. The sockets stay open -- only the
@@ -270,21 +275,18 @@ TEST_F(ServiceChaosTest, RefusedConnectsFailFastThenRecover) {
   chaos.refuse_first = 1;  // first connection dies, the next behaves
   StartProxy(chaos);
   ReqClient via;
-  DeadlinePolicy deadlines;
-  deadlines.connect_timeout_ms = 2000;
-  deadlines.request_timeout_ms = 2000;
-  via.SetDeadlines(deadlines);
+  ClientOptions options = ProxyOptions();
+  options.reconnect_enabled = true;
   const auto start = Clock::now();
   // The TCP handshake may complete before the RST lands, so the refusal
   // surfaces either at Connect or on the first round trip -- both typed,
   // both fast.
   try {
-    via.Connect("127.0.0.1", proxy_->port());
-    via.EnableReconnect();
+    via.Connect("127.0.0.1", proxy_->port(), options);
     EXPECT_EQ(via.Ping(), kProtocolVersion);  // redials past the refusal
   } catch (const std::runtime_error&) {
     via.Close();
-    via.Connect("127.0.0.1", proxy_->port());
+    via.Connect("127.0.0.1", proxy_->port(), options);
     EXPECT_EQ(via.Ping(), kProtocolVersion);
   }
   EXPECT_LT(SecondsSince(start), 10.0);
@@ -326,12 +328,11 @@ TEST_F(ServiceChaosTest, ConnectDeadlineFiresOnNeverAcceptingSocket) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   ReqClient client;
-  DeadlinePolicy deadlines;
-  deadlines.connect_timeout_ms = 250;
-  client.SetDeadlines(deadlines);
+  ClientOptions options;
+  options.deadlines.connect_timeout_ms = 250;
   const auto start = Clock::now();
   try {
-    client.Connect("127.0.0.1", ntohs(bound.sin_port));
+    client.Connect("127.0.0.1", ntohs(bound.sin_port), options);
     // A connect that squeezed into the queue is acceptable -- the point
     // is the bound, proven below either way.
   } catch (const std::runtime_error&) {
@@ -390,7 +391,7 @@ TEST_F(ServiceChaosTest, CapSaturatedServerAnswersOverloadedFast) {
   EXPECT_EQ(a.Ping(), kProtocolVersion);
   EXPECT_EQ(b.Ping(), kProtocolVersion);
 
-  ReqClient shed = ConnectViaProxy(/*request_timeout_ms=*/2000);
+  ReqClient shed = ConnectViaProxy(ProxyOptions(/*request_timeout_ms=*/2000));
   const auto start = Clock::now();
   try {
     shed.Ping();
@@ -414,12 +415,11 @@ TEST_F(ServiceChaosTest, OverloadedRetryBacksOffIntoFreedSlot) {
   ReqClient holder = ConnectDirect();
   EXPECT_EQ(holder.Ping(), kProtocolVersion);
 
-  ReqClient waiter = ConnectViaProxy();
-  waiter.EnableReconnect();
-  DeadlinePolicy deadlines = waiter.deadlines();
-  deadlines.retry_budget_ms = 8000;
-  deadlines.overloaded_backoff_ms = 20;
-  waiter.SetDeadlines(deadlines);
+  ClientOptions options = ProxyOptions();
+  options.reconnect_enabled = true;
+  options.deadlines.retry_budget_ms = 8000;
+  options.deadlines.overloaded_backoff_ms = 20;
+  ReqClient waiter = ConnectViaProxy(options);
   // Free the slot while the waiter is mid-backoff: its retry must land.
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -553,10 +553,9 @@ TEST_F(ServiceChaosTest, DrainAnswersInFlightThenClosesAndSheds) {
   EXPECT_EQ(server_->LiveConnections(), 0u);
   // The drained server is gone; a fresh dial must fail, not hang.
   ReqClient after;
-  DeadlinePolicy deadlines;
-  deadlines.connect_timeout_ms = 500;
-  after.SetDeadlines(deadlines);
-  EXPECT_THROW(after.Connect("127.0.0.1", port), std::runtime_error);
+  ClientOptions options;
+  options.deadlines.connect_timeout_ms = 500;
+  EXPECT_THROW(after.Connect("127.0.0.1", port, options), std::runtime_error);
 }
 
 // --- chaos x durability -----------------------------------------------------
@@ -596,12 +595,9 @@ TEST_F(ServiceChaosTest, ResetsOverDurabilityNeverLoseAckedItems) {
     proxy.Start();
 
     ReqClient via;
-    DeadlinePolicy deadlines;
-    deadlines.connect_timeout_ms = 2000;
-    deadlines.request_timeout_ms = 5000;
-    via.SetDeadlines(deadlines);
-    via.Connect("127.0.0.1", proxy.port());
-    via.EnableReconnect();
+    ClientOptions client_options = ProxyOptions(/*request_timeout_ms=*/5000);
+    client_options.reconnect_enabled = true;
+    via.Connect("127.0.0.1", proxy.port(), client_options);
     CreateMetric(&via, metric);
     size_t i = 0;
     const auto start = Clock::now();

@@ -44,9 +44,9 @@ class ServiceE2ETest : public ::testing::Test {
   }
   void TearDown() override { server_->Stop(); }
 
-  ReqClient Connect() {
+  ReqClient Connect(const ClientOptions& options = {}) {
     ReqClient client;
-    client.Connect("127.0.0.1", server_->port());
+    client.Connect("127.0.0.1", server_->port(), options);
     return client;
   }
 
@@ -495,11 +495,11 @@ TEST_F(ServiceE2ETest, HalfFrameAtEofCountsAsAbortedUpload) {
 }
 
 TEST_F(ServiceE2ETest, SelfHealingClientSurvivesServerRestart) {
-  ReqClient client = Connect();
-  ReconnectPolicy policy;
-  policy.max_attempts = 8;
-  policy.initial_backoff_ms = 10;
-  client.EnableReconnect(policy);
+  ClientOptions options;
+  options.reconnect_enabled = true;
+  options.reconnect.max_attempts = 8;
+  options.reconnect.initial_backoff_ms = 10;
+  ReqClient client = Connect(options);
   MetricSpec spec;
   client.Create("heal", spec);
   client.Append("heal", {1.0, 2.0, 3.0});

@@ -1,10 +1,9 @@
 // Metric-lifecycle tests for the sharded SketchRegistry: paged
 // prefix-filtered LIST against a brute-force model, tenancy quotas (and
-// their exact rollback), lazy staging (single-writer metrics never
-// materialize an SPSC buffer; contended ones do, bit-identically),
-// idle eviction + touch rehydration for all three engine kinds, and a
-// registry-wide eviction-vs-append race stress that the CI
-// ThreadSanitizer job runs.
+// their exact rollback), contended appends on the single-sketch kinds
+// (bit-identical to a serial feed), idle eviction + touch rehydration
+// for all three engine kinds, and a registry-wide eviction-vs-append race
+// stress that the CI ThreadSanitizer job runs.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -165,9 +164,10 @@ TEST(Quotas, QuotaSurfacesAsTypedClientErrorAndIsNotRetried) {
   registry.SetLimits(/*max_metrics=*/1, 0);
   ReqdServer server(&registry);
   server.Start();
+  ClientOptions options;
+  options.reconnect_enabled = true;  // must NOT kick in for a quota answer
   ReqClient client;
-  client.Connect("127.0.0.1", server.port());
-  client.EnableReconnect();  // must NOT kick in for a quota answer
+  client.Connect("127.0.0.1", server.port(), options);
   MetricSpec spec;
   client.Create("one", spec);
   try {
@@ -212,60 +212,41 @@ TEST(Quotas, PagedListOverTheWireMatchesRegistry) {
   server.Stop();
 }
 
-// --- lazy staging ----------------------------------------------------------
+// --- contended appends ----------------------------------------------------
 
-TEST(LazyStaging, SingleWriterNeverMaterializesTheBuffer) {
-  SketchRegistry registry;
-  auto engine = registry.Create("serial", SpecOf(EngineKind::kPlain));
-  auto* staged = dynamic_cast<PlainReqEngine*>(engine.get());
-  ASSERT_NE(staged, nullptr);
-  const std::vector<double> stream = TestStream(1, 50000);
-  for (size_t i = 0; i < stream.size(); i += 1000) {
-    engine->Append(stream.data() + i, 1000);
-    engine->GetQuantiles({0.5}, Criterion::kInclusive);
-  }
-  EXPECT_FALSE(staged->StagingMaterialized());
-  EXPECT_EQ(engine->AcceptedN(), stream.size());
-}
-
-TEST(LazyStaging, ContendedEngineMaterializesAndStaysBitIdentical) {
+TEST(ContendedAppend, SingleSketchKindsStayBitIdenticalToSerial) {
   // The item stream reaches both engines in the identical batch order;
-  // the contended one additionally has a thread hammering empty appends,
-  // which trips the try-lock contention detector and materializes the
-  // SPSC buffer mid-stream. Batch updates chunk invariantly, so the
-  // direct-path prefix + staged suffix must equal the all-direct run
-  // bit-for-bit.
+  // the contended one additionally has a thread hammering empty appends
+  // on the same append mutex. Contention may only change who waits, never
+  // the result: the snapshot must equal the serial engine's bit-for-bit.
   const std::vector<double> stream = TestStream(2, 80000);
   const size_t batch = 1024;
-
-  SketchRegistry serial_registry;
-  auto serial = serial_registry.Create("m", SpecOf(EngineKind::kPlain));
-  for (size_t i = 0; i < stream.size(); i += batch) {
-    serial->Append(stream.data() + i,
-                   std::min(batch, stream.size() - i));
-  }
-
-  SketchRegistry contended_registry;
-  auto contended = contended_registry.Create("m", SpecOf(EngineKind::kPlain));
-  std::atomic<bool> stop{false};
-  std::thread contender([&] {
-    const double dummy = 0.0;
-    while (!stop.load(std::memory_order_acquire)) {
-      contended->Append(&dummy, 0);  // no items: pure lock pressure
+  for (EngineKind kind : {EngineKind::kPlain, EngineKind::kWindowed}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    SketchRegistry serial_registry;
+    auto serial = serial_registry.Create("m", SpecOf(kind));
+    for (size_t i = 0; i < stream.size(); i += batch) {
+      serial->Append(stream.data() + i, std::min(batch, stream.size() - i));
     }
-  });
-  for (size_t i = 0; i < stream.size(); i += batch) {
-    contended->Append(stream.data() + i,
-                      std::min(batch, stream.size() - i));
-  }
-  stop.store(true, std::memory_order_release);
-  contender.join();
 
-  auto* staged = dynamic_cast<PlainReqEngine*>(contended.get());
-  ASSERT_NE(staged, nullptr);
-  EXPECT_TRUE(staged->StagingMaterialized());
-  EXPECT_EQ(contended->AcceptedN(), stream.size());
-  EXPECT_EQ(contended->Snapshot(), serial->Snapshot());
+    SketchRegistry contended_registry;
+    auto contended = contended_registry.Create("m", SpecOf(kind));
+    std::atomic<bool> stop{false};
+    std::thread contender([&] {
+      const double dummy = 0.0;
+      while (!stop.load(std::memory_order_acquire)) {
+        contended->Append(&dummy, 0);  // no items: pure lock pressure
+      }
+    });
+    for (size_t i = 0; i < stream.size(); i += batch) {
+      contended->Append(stream.data() + i, std::min(batch, stream.size() - i));
+    }
+    stop.store(true, std::memory_order_release);
+    contender.join();
+
+    EXPECT_EQ(contended->AcceptedN(), stream.size());
+    EXPECT_EQ(contended->Snapshot(), serial->Snapshot());
+  }
 }
 
 // --- eviction + rehydration ------------------------------------------------

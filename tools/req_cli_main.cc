@@ -53,6 +53,7 @@ namespace {
 
 using req::Criterion;
 using req::ReqSketch;
+using req::service::ClientOptions;
 using req::service::EngineKind;
 using req::service::MetricSpec;
 using req::service::ReqClient;
@@ -92,6 +93,14 @@ EngineKind KindOf(const std::string& s) {
   throw std::invalid_argument("unknown engine kind: " + s);
 }
 
+// Every req-cli connection redials and retries idempotent requests across
+// daemon restarts (default reconnect policy and deadlines).
+ClientOptions SelfHealing() {
+  ClientOptions options;
+  options.reconnect_enabled = true;
+  return options;
+}
+
 // The deterministic per-metric load stream (shared with --verify).
 std::vector<double> LoadStream(uint64_t seed, size_t items) {
   req::util::Xoshiro256 rng(seed);
@@ -119,11 +128,10 @@ int RunLoad(const Options& opt) {
   for (size_t c = 0; c < opt.clients; ++c) {
     threads.emplace_back([&, c] {
       try {
-        ReqClient client;
-        client.Connect(opt.host, opt.port);
         // Self-healing: queries transparently survive a daemon restart;
         // appends reconcile explicitly below.
-        client.EnableReconnect();
+        ReqClient client;
+        client.Connect(opt.host, opt.port, SelfHealing());
         const std::string metric =
             "load." + run_tag + ".m" + std::to_string(c);
         MetricSpec spec;
@@ -224,8 +232,7 @@ double PercentileUs(std::vector<double>* sorted_us, double p) {
 
 int RunChurn(const Options& opt) {
   ReqClient client;
-  client.Connect(opt.host, opt.port);
-  client.EnableReconnect();
+  client.Connect(opt.host, opt.port, SelfHealing());
   const std::string run_tag = std::to_string(
       std::chrono::steady_clock::now().time_since_epoch().count() %
       1000000);
@@ -321,12 +328,11 @@ void PrintHelp() {
 }
 
 int RunRepl(const Options& opt) {
-  ReqClient client;
-  client.Connect(opt.host, opt.port);
   // An interactive session outlives daemon restarts: queries redial and
   // retry; a failed append reports its error and the NEXT command
   // reconnects.
-  client.EnableReconnect();
+  ReqClient client;
+  client.Connect(opt.host, opt.port, SelfHealing());
   std::printf("connected to %s:%u (protocol v%u); 'help' for commands\n",
               opt.host.c_str(), opt.port, client.Ping());
 

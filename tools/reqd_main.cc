@@ -50,7 +50,7 @@
 // embedder of the daemon shape accepts the same options.
 //
 // Runs until SIGINT/SIGTERM, then shuts down gracefully: stops
-// accepting, drains the reactor, flushes every metric's staged items,
+// accepting, drains the reactor, flushes every metric's buffered items,
 // and (when durable) writes a final checkpoint per metric so a clean
 // restart replays no WAL at all.
 #include <atomic>
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
                     server.ConnectionsAccepted()));
     // Graceful drain: shed new connections, answer every in-flight
     // frame, then stop the reactor (no appends can race the final
-    // snapshot); only then flush staged items and checkpoint each
+    // snapshot); only then flush buffered items and checkpoint each
     // metric so the next boot replays nothing.
     server.Drain(/*timeout_ms=*/5000);
     if (durability) {
