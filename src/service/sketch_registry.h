@@ -6,28 +6,26 @@
 //                serialize byte-identically to an in-process ReqSketch fed
 //                the same stream with the same config (the loopback e2e
 //                test holds this bit-exactly).
-//   kSharded  -> ShardedReqSketch<double>: multi-shard ingest with
-//                merge-on-query, for metrics hot enough that one
-//                compaction cascade would bottleneck.
+//   kSharded  -> num_shards independently seeded ReqSketch<double>s, whole
+//                batches rotated, merged on query (Theorem 3); snapshots
+//                use ShardedReqSketch's serde.
 //   kWindowed -> WindowedReqSketch<double>: count-driven sliding window
 //                (bucket_items per bucket, num_buckets buckets).
 //
 // Ingest path: every engine serializes its appends on a per-engine append
 // mutex (many connections may append to one metric; they take turns), so
-// the WAL's batch order is the engine's apply order. Plain and windowed
-// engines apply each batch directly with one batch Update under their
-// state mutex. The sharded engine rotates whole batches across
-// ShardedReqSketch's per-shard SPSC buffers, which is the one place
-// ingest is buffered.
+// the WAL's batch order is the engine's apply order. Every engine applies
+// each batch directly with one batch Update under its state mutex -- the
+// sharded engine into the next shard in rotation. Nothing is buffered:
+// an acknowledged batch is already in the sketch.
 //
-// Query path (plain/windowed): queries run against an epoch-tagged
-// snapshot -- a standalone ReqSketch copy with its sorted view prewarmed,
+// Query path: queries run against an epoch-tagged snapshot -- a
+// standalone ReqSketch with its sorted view prewarmed (a copy of the plain
+// sketch, the window's merged buckets, or the N-way merge of the shards),
 // cached in a concurrency::EpochSnapshotCache and rebuilt only after an
 // append changed the state, so every APPEND acknowledged before the query
 // is visible. While a metric is not being appended to, any number of
-// connections query it lock-free. The sharded engine flushes its shard
-// buffers and then delegates to ShardedReqSketch's own epoch-cached
-// merged view, which implements the same pattern internally.
+// connections query it lock-free.
 //
 // Tenancy spine (the million-metric refactor): the name->engine map is
 // sharded by name hash into kRegistryShards independent mutex+map shards,
@@ -162,12 +160,8 @@ class MetricEngine {
   // as persist::IoError before any state change).
   virtual void Append(const double* data, size_t count) = 0;
 
-  // Makes every buffered item query-visible. Only the sharded engine
-  // buffers (per shard); the others apply each batch in Append.
-  virtual void Flush() {}
-
-  // Resident heap bytes this engine holds (sketch payload, shard buffers,
-  // snapshot caches, allocator slack). The registry's quota accounting
+  // Resident heap bytes this engine holds (sketch payloads, snapshot
+  // caches, allocator slack). The registry's quota accounting
   // charges this figure per metric; it is a measurement, not a contract,
   // and may be briefly stale against concurrent appends.
   virtual size_t MemoryFootprint() const = 0;
@@ -275,22 +269,13 @@ inline std::vector<uint8_t> SnapshotBlobPayload(
   return std::vector<uint8_t>(blob.begin() + 1, blob.end());
 }
 
-namespace detail {
+// --- the shared engine base ------------------------------------------------
 
-inline void CheckAppendable(const double* data, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    util::CheckArg(!std::isnan(data[i]), "cannot append NaN");
-  }
-}
-
-}  // namespace detail
-
-// --- single-sketch engines (plain / windowed) -----------------------------
-
-// Shared machinery for the engines that apply appends directly to one
-// underlying structure and serve queries from an epoch-cached ReqSketch
-// snapshot. Derived classes choose the underlying type and how to
-// snapshot it; the append/epoch protocol lives here exactly once.
+// Shared machinery for every engine: appends apply directly to one
+// underlying structure (a sketch, a window, a shard rotation) and queries
+// are served from an epoch-cached ReqSketch snapshot. Derived classes
+// choose the underlying type and how to snapshot it; the append/epoch
+// protocol lives here exactly once.
 //
 // Appends are serialized by the append mutex: a concurrent writer waits
 // its turn, then applies its whole batch with one batch Update(data,
@@ -304,7 +289,9 @@ class SingleSketchEngineBase : public MetricEngine {
   const MetricSpec& spec() const override { return spec_; }
 
   void Append(const double* data, size_t count) override {
-    detail::CheckAppendable(data, count);
+    for (size_t i = 0; i < count; ++i) {
+      util::CheckArg(!std::isnan(data[i]), "cannot append NaN");
+    }
     std::lock_guard<std::mutex> produce(append_mutex_);
     CheckNotRetired();
     // WAL before apply: if the log write fails (persist::IoError),
@@ -370,6 +357,20 @@ class SingleSketchEngineBase : public MetricEngine {
   // state_mutex_ (the sorted-view warm-up happens outside it).
   virtual Sketch MakeSnapshotLocked() = 0;
 
+  // underlying_'s serde bytes (ReqSerde / windowed serde / SHRQ); called
+  // under state_mutex_.
+  virtual std::vector<uint8_t> SerializeLocked() const = 0;
+
+  // Kind tag + SerializeLocked(). The caller holds the append mutex, so
+  // the blob sits on a WAL batch boundary.
+  std::vector<uint8_t> SnapshotLocked() final {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::vector<uint8_t> blob{static_cast<uint8_t>(kind())};
+    const std::vector<uint8_t> bytes = SerializeLocked();
+    blob.insert(blob.end(), bytes.begin(), bytes.end());
+    return blob;
+  }
+
   std::shared_ptr<const Sketch> View() {
     return cache_.Get(
         [this] { return epoch_.load(std::memory_order_acquire); },
@@ -410,15 +411,8 @@ class PlainReqEngine final : public SingleSketchEngineBase<ReqSketch<double>> {
   EngineKind kind() const override { return EngineKind::kPlain; }
 
  protected:
-  std::vector<uint8_t> SnapshotLocked() override {
-    // The cached snapshot is a faithful copy (config, seed, levels,
-    // schedule state), so it serializes byte-identically to the live
-    // sketch -- and to an in-process sketch fed the same stream.
-    std::shared_ptr<const Sketch> view = View();
-    std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kPlain)};
-    const std::vector<uint8_t> bytes = SerializeSketch(*view);
-    blob.insert(blob.end(), bytes.begin(), bytes.end());
-    return blob;
+  std::vector<uint8_t> SerializeLocked() const override {
+    return SerializeSketch(underlying_);
   }
 
  private:
@@ -427,99 +421,101 @@ class PlainReqEngine final : public SingleSketchEngineBase<ReqSketch<double>> {
 
 // --- sharded ---------------------------------------------------------------
 
-class ShardedReqEngine final : public MetricEngine {
+namespace detail {
+
+// The sharded engine's state: num_shards sketches, shard i seeded
+// base.seed + i, and the rotation cursor. Each Update applies one whole
+// batch to the next shard in turn, empty batches included, so every
+// shard's stream is a pure function of the batch order -- the WAL order,
+// in which batch b went to shard b % num_shards.
+class RotatingShards {
  public:
-  using Sharded = concurrency::ShardedReqSketch<double>;
+  using Sketch = ReqSketch<double>;
 
-  explicit ShardedReqEngine(const MetricSpec& spec)
-      : spec_(spec), sharded_(MakeConfig(spec)) {}
+  explicit RotatingShards(const MetricSpec& spec) {
+    shards_.reserve(spec.num_shards);
+    for (size_t i = 0; i < spec.num_shards; ++i) {
+      shards_.emplace_back(concurrency::ShardConfig(spec.base, i));
+    }
+  }
 
-  // Recovery: restores the serialized shard set and resumes the
-  // round-robin rotation where batch number `batches` left it, so WAL
-  // replay routes every batch to the same shard it originally hit.
-  ShardedReqEngine(const MetricSpec& spec,
-                   const std::vector<uint8_t>& payload, uint64_t accepted_n,
-                   uint64_t batches)
-      : spec_(spec),
-        next_shard_(static_cast<size_t>(batches % spec.num_shards)),
-        sharded_(Sharded::Deserialize(payload)) {
-    util::CheckData(sharded_.num_shards() == spec.num_shards,
+  // Recovery: restores the serialized shards positioned at WAL batch
+  // `batches`, so replay routes every batch to the shard it first hit.
+  // The recorded buffer_capacity is not state (the spec supplies it).
+  RotatingShards(const MetricSpec& spec, const std::vector<uint8_t>& payload,
+                 uint64_t batches) {
+    uint64_t capacity = 0;
+    shards_ = concurrency::DeserializeShards<double>(payload, &capacity);
+    util::CheckData(shards_.size() == spec.num_shards,
                     "sharded snapshot shard count differs from spec");
-    accepted_n_.store(accepted_n, std::memory_order_release);
+    next_ = static_cast<size_t>(batches % shards_.size());
   }
 
-  EngineKind kind() const override { return EngineKind::kSharded; }
-  const MetricSpec& spec() const override { return spec_; }
-
-  void Append(const double* data, size_t count) override {
-    detail::CheckAppendable(data, count);
-    std::lock_guard<std::mutex> produce(append_mutex_);
-    CheckNotRetired();
-    if (log_) log_->AppendBatch(data, count);
-    // Whole batches rotate round-robin across shards: each shard's stream
-    // (and therefore its sketch) is a pure function of the batch arrival
-    // order, and the per-shard single-writer contract holds because the
-    // append mutex serializes the producer role.
-    sharded_.Update(next_shard_, data, count);
-    next_shard_ = (next_shard_ + 1) % sharded_.num_shards();
-    accepted_n_.fetch_add(count, std::memory_order_release);
+  void Update(const double* data, size_t count) {
+    shards_[next_].Update(data, count);
+    next_ = (next_ + 1) % shards_.size();
   }
 
-  // FlushAll is safe concurrently with producers (drains under the shard
-  // locks), so queries need not take the append mutex.
-  void Flush() override { sharded_.FlushAll(); }
-
-  size_t MemoryFootprint() const override {
-    return sizeof(*this) - sizeof(Sharded) + sharded_.MemoryBytes();
+  // The merge-on-query sketch over shard 0's config, which is the base
+  // config (shard 0 is seeded base.seed + 0).
+  Sketch Merged() const {
+    return concurrency::MergeShards(shards_.front().config(), Pointers());
   }
 
-  void TrimMemory() override {
-    std::lock_guard<std::mutex> produce(append_mutex_);
-    sharded_.FlushAll();
-    sharded_.TrimMemory();
+  std::vector<uint8_t> Serialize(uint64_t buffer_capacity) const {
+    return concurrency::SerializeShards(Pointers(), buffer_capacity);
   }
 
-  std::vector<uint64_t> GetRanks(const std::vector<double>& ys,
-                                 Criterion criterion) override {
-    Flush();
-    return sharded_.GetRanks(ys, criterion);
-  }
-  std::vector<double> GetQuantiles(const std::vector<double>& qs,
-                                   Criterion criterion) override {
-    Flush();
-    return sharded_.GetQuantiles(qs, criterion);
-  }
-  std::vector<double> GetCDF(const std::vector<double>& splits,
-                             Criterion criterion) override {
-    Flush();
-    return sharded_.GetCDF(splits, criterion);
+  // shards_ is sized exactly, and each shard's MemoryBytes() counts its
+  // own sizeof.
+  size_t MemoryBytes() const {
+    size_t bytes = sizeof(*this);
+    for (const Sketch& shard : shards_) bytes += shard.MemoryBytes();
+    return bytes;
   }
 
- protected:
-  std::vector<uint8_t> SnapshotLocked() override {
-    // The caller (MetricEngine::Snapshot / ForceCheckpoint) holds the
-    // append mutex, quiescing producers for the serialize: the sharded
-    // serde requires empty staging buffers (buffered items would be
-    // silently lost).
-    sharded_.FlushAll();
-    std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kSharded)};
-    const std::vector<uint8_t> bytes = sharded_.Serialize();
-    blob.insert(blob.end(), bytes.begin(), bytes.end());
-    return blob;
+  void TrimMemory() {
+    for (Sketch& shard : shards_) shard.TrimMemory();
   }
 
  private:
-  static concurrency::ShardedReqConfig MakeConfig(const MetricSpec& spec) {
-    concurrency::ShardedReqConfig config;
-    config.num_shards = spec.num_shards;
-    config.buffer_capacity = spec.buffer_capacity;
-    config.base = spec.base;
-    return config;
+  std::vector<const Sketch*> Pointers() const {
+    std::vector<const Sketch*> sketches;
+    sketches.reserve(shards_.size());
+    for (const Sketch& shard : shards_) sketches.push_back(&shard);
+    return sketches;
   }
 
-  const MetricSpec spec_;
-  size_t next_shard_ = 0;
-  Sharded sharded_;
+  std::vector<Sketch> shards_;
+  size_t next_ = 0;
+};
+
+}  // namespace detail
+
+class ShardedReqEngine final
+    : public SingleSketchEngineBase<detail::RotatingShards> {
+ public:
+  explicit ShardedReqEngine(const MetricSpec& spec)
+      : SingleSketchEngineBase(spec, detail::RotatingShards(spec)) {}
+
+  // Recovery: restores the serialized shards and resumes the rotation
+  // where batch number `batches` left it.
+  ShardedReqEngine(const MetricSpec& spec,
+                   const std::vector<uint8_t>& payload, uint64_t accepted_n,
+                   uint64_t batches)
+      : SingleSketchEngineBase(
+            spec, detail::RotatingShards(spec, payload, batches),
+            accepted_n) {}
+
+  EngineKind kind() const override { return EngineKind::kSharded; }
+
+ protected:
+  std::vector<uint8_t> SerializeLocked() const override {
+    return underlying_.Serialize(spec_.buffer_capacity);
+  }
+
+ private:
+  Sketch MakeSnapshotLocked() override { return underlying_.Merged(); }
 };
 
 // --- windowed --------------------------------------------------------------
@@ -542,16 +538,12 @@ class WindowedReqEngine final
   EngineKind kind() const override { return EngineKind::kWindowed; }
 
  protected:
-  std::vector<uint8_t> SnapshotLocked() override {
+  std::vector<uint8_t> SerializeLocked() const override {
     // Serialize the window itself (ring, rotations, bucket epochs), not
     // its merged view: a restored snapshot keeps expiring correctly.
     // (Count-driven rotation happens inside the batch update, at the
     // same boundaries per-item feeding would produce.)
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kWindowed)};
-    const std::vector<uint8_t> bytes = underlying_.Serialize();
-    blob.insert(blob.end(), bytes.begin(), bytes.end());
-    return blob;
+    return underlying_.Serialize();
   }
 
  private:
@@ -1045,7 +1037,6 @@ class SketchRegistry {
     for (const std::vector<double>& batch : r.state.batches) {
       fresh->Append(batch.data(), batch.size());
     }
-    fresh->Flush();
     fresh->SetLog(std::move(r.log));
     AccountEntry(*entry, fresh->MemoryFootprint());
     // Refresh the idle clock before publishing: rehydration can wait out

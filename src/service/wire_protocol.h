@@ -129,7 +129,7 @@ enum class Status : uint8_t {
 // Which engine a metric runs on (chosen once, at CREATE).
 enum class EngineKind : uint8_t {
   kPlain = 0,     // single ReqSketch: deterministic, byte-stable snapshots
-  kSharded = 1,   // ShardedReqSketch: multi-shard ingest, merge-on-query
+  kSharded = 1,   // N seeded sketches, batches rotated, merged on query
   kWindowed = 2,  // WindowedReqSketch: count-driven sliding window
 };
 
@@ -143,9 +143,9 @@ struct MetricSpec {
   ReqConfig base;
   // kSharded: shard count. kPlain/kWindowed ignore it.
   uint32_t num_shards = 4;
-  // kSharded: per-shard SPSC staging capacity in items. Validated for
-  // every kind, but only the sharded engine buffers ingest; plain and
-  // windowed engines apply each batch directly and ignore it.
+  // Validated ([1, 2^32]) and persisted for every kind, for wire and
+  // manifest compatibility; kSharded records it in its snapshot's SHRQ
+  // header. No engine buffers ingest, so nothing is allocated for it.
   uint64_t buffer_capacity = 4096;
   // kWindowed: ring size and count-driven rotation threshold.
   uint32_t num_buckets = 8;

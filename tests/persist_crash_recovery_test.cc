@@ -152,7 +152,6 @@ std::vector<uint8_t> ReferenceSnapshot(size_t m, uint64_t n) {
     const size_t len = std::min(kBatch, static_cast<size_t>(n) - i);
     engine->Append(stream.data() + i, len);
   }
-  engine->Flush();
   return engine->Snapshot();
 }
 

@@ -261,7 +261,6 @@ TEST(FaultInjection, CrashPointSweepPreservesAckedPrefix) {
         const std::vector<double> batch = ScriptBatch(metric_index, b);
         ref_engine->Append(batch.data(), batch.size());
       }
-      ref_engine->Flush();
       EXPECT_EQ(engine->Snapshot(), ref_engine->Snapshot())
           << "state diverged at crash point " << k << " for " << name;
     }

@@ -305,7 +305,6 @@ TEST(Durability, RecoversAllEngineKindsBitIdentically) {
     }
     for (size_t m = 0; m < metrics.size(); ++m) {
       auto engine = registry.Require(metrics[m].first);
-      engine->Flush();
       reference[m] = engine->Snapshot();
       reference_n[m] = engine->AcceptedN();
     }
@@ -386,7 +385,6 @@ TEST(Durability, GracefulCheckpointLeavesEmptyReplayTail) {
     auto engine = registry.Require("m");
     const std::vector<double> stream = TestStream(7, 5000);
     engine->Append(stream.data(), stream.size());
-    engine->Flush();
     engine->ForceCheckpoint();
     reference = engine->Snapshot();
   }

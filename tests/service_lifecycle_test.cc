@@ -159,6 +159,25 @@ TEST(Quotas, MemoryQuotaTracksAccountedFootprint) {
   registry.Create("c", spec);  // the rollback freed the accounting
 }
 
+// buffer_capacity allocates nothing: a sharded CREATE's footprint does
+// not depend on it, and the memory quota sees all a CREATE allocates even
+// at the largest spec ValidateMetricSpec admits.
+TEST(Quotas, ShardedCreateAllocatesNothingForBufferCapacity) {
+  MetricSpec spec;
+  spec.kind = EngineKind::kSharded;
+  spec.num_shards = 4;
+  spec.buffer_capacity = 1;
+  SketchRegistry registry;
+  const size_t small = registry.Create("small", spec)->MemoryFootprint();
+  spec.buffer_capacity = uint64_t{1} << 32;
+  EXPECT_EQ(registry.Create("large", spec)->MemoryFootprint(), small);
+
+  SketchRegistry limited;
+  limited.SetLimits(0, /*max_memory_bytes=*/uint64_t{1} << 20);
+  spec.num_shards = 64;
+  EXPECT_NE(limited.Create("wide", spec), nullptr);
+}
+
 TEST(Quotas, QuotaSurfacesAsTypedClientErrorAndIsNotRetried) {
   SketchRegistry registry;
   registry.SetLimits(/*max_metrics=*/1, 0);
@@ -454,7 +473,6 @@ TEST(LifecycleStress, AppendersQueriersEvictorAndChurnRaceSafely) {
   // ...and durably: recovery finds at least every acked item (exactly,
   // since appends and acks were counted together).
   for (const std::string& name : names) {
-    registry.Require(name)->Flush();
     registry.Require(name)->ForceCheckpoint();
   }
   {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "concurrency/sharded_req_sketch.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
 #include "gtest/gtest.h"
@@ -232,6 +233,49 @@ TEST(ShardedEngine, AggregatesAcrossShardsAndSnapshots) {
   EXPECT_EQ(restored.n(), stream.size());
   EXPECT_EQ(restored.GetQuantile(0.99),
             engine->GetQuantiles({0.99}, Criterion::kInclusive)[0]);
+}
+
+// A sharded metric equals an in-process ShardedReqSketch fed batch j into
+// shard j % num_shards (empty batches advance the rotation too), and keeps
+// matching after recovery from a checkpoint at batch position B.
+TEST(ShardedEngine, MatchesInProcessShardsBitIdentically) {
+  MetricSpec spec;
+  spec.kind = EngineKind::kSharded;
+  spec.num_shards = 3;
+  spec.base.k_base = 64;
+  spec.buffer_capacity = 1000;
+  concurrency::ShardedReqSketch<double> reference(
+      {spec.num_shards, spec.buffer_capacity, spec.base});
+  const std::vector<double> stream = TestStream(91, 60000);
+  const std::vector<double> points = TestStream(92, 512);
+  const std::vector<double> splits = {1e3, 1e4, 1e5, 5e5, 9e5};
+  SketchRegistry registry;
+  SketchRegistry::EnginePtr engine = registry.Create("m", spec);
+  size_t pos = 0;
+  size_t step = 1;
+  uint64_t batches = 0;
+  for (const size_t end : {stream.size() / 2, stream.size()}) {
+    if (pos > 0) {
+      engine = registry.CreateRecovered("recovered", spec, engine->Snapshot(),
+                                        engine->AcceptedN(), batches);
+    }
+    while (pos < end) {
+      const size_t len = (batches == 4) ? 0 : std::min(step, end - pos);
+      engine->Append(stream.data() + pos, len);
+      reference.Update(batches++ % spec.num_shards, stream.data() + pos, len);
+      pos += len;
+      step = (step > 2000) ? 1 : step * 3 + 1;
+    }
+    reference.FlushAll();
+    EXPECT_EQ(SnapshotBlobPayload(engine->Snapshot()), reference.Serialize());
+    EXPECT_EQ(engine->GetQuantiles(kQs, Criterion::kInclusive),
+              reference.GetQuantiles(kQs, Criterion::kInclusive));
+    EXPECT_EQ(engine->GetRanks(points, Criterion::kExclusive),
+              reference.GetRanks(points, Criterion::kExclusive));
+    EXPECT_EQ(engine->GetCDF(splits, Criterion::kInclusive),
+              reference.GetCDF(splits, Criterion::kInclusive));
+    EXPECT_EQ(engine->AcceptedN(), pos);
+  }
 }
 
 // --- windowed engine -------------------------------------------------------

@@ -195,7 +195,6 @@ int main(int argc, char** argv) {
         req::service::SketchRegistry::EnginePtr engine =
             registry.Find(name);
         if (!engine) continue;
-        engine->Flush();
         engine->ForceCheckpoint();
       }
       std::printf("checkpointed %zu metric(s)\n", names->size());
