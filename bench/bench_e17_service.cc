@@ -3,14 +3,14 @@
 //
 // Claim under test: the reqd service layer serves multi-tenant quantile
 // traffic at wire speed -- aggregate append throughput scales with client
-// count until the transport saturates (appends stage into per-metric SPSC
-// buffers and drain on the batch path), quantile-query latency stays
-// flat because queries run against epoch-cached snapshots instead of
-// taking sketch locks, and (since the epoll reactor) append latency
-// survives high connection counts: holding 1024+ open connections costs
-// epoll registrations and timer-wheel slots, not threads, so the p99 at
-// 1024 connections stays within 2x of the 8-connection p99 while the
-// server runs a fixed worker pool.
+// count until the transport saturates (each append applies its batch
+// directly on the batch path), quantile-query latency stays flat because
+// queries read memoized views (a sketch's sorted view, a merge of shards)
+// under a shared lock instead of rebuilding them, and (since the epoll
+// reactor) append latency survives high connection counts: holding
+// 1024+ open connections costs epoll registrations and timer-wheel
+// slots, not threads, so the p99 at 1024 connections stays within 2x of
+// the 8-connection p99 while the server runs a fixed worker pool.
 //
 // Setup: an in-process ReqdServer on an ephemeral loopback port.
 //   Sweep 1 (throughput): for each engine kind (plain, sharded) and

@@ -3,10 +3,9 @@
 // subsystem that publishes an expensive-to-build read view over mutating
 // state shares one implementation (and one memory-ordering argument).
 //
-// Users: ShardedReqSketch's merged view, the service layer's
-// SketchRegistry (metric-directory snapshots for LIST) and its plain,
-// sharded and windowed engines (query-side sketch snapshots in
-// service/sketch_registry.h).
+// Users: ShardedReqSketch's merged view and, in the service layer
+// (service/sketch_registry.h), the SketchRegistry's metric-directory
+// snapshots for LIST and the sharded engine's merged view of its shards.
 //
 // Contract:
 //   * Writers bump a monotone epoch counter (owned by the caller) after

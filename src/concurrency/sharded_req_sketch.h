@@ -40,10 +40,11 @@
 //     serialized state across runs -- even with real concurrency, because
 //     cross-shard timing never influences any shard's stream.
 //
-// The shard seeding, the merged view's seed and the serialized layout
-// (ShardConfig, MergeShards, SerializeShards/DeserializeShards below) are
-// shared with the service's sharded engine, which keeps the same shards
-// without staging buffers (service/sketch_registry.h).
+// The shard seeding and the serialized layout (ShardConfig,
+// SerializeShards/DeserializeShards below) and the merged view
+// (MergeShards, core/req_sketch.h) are shared with the service's sharded
+// engine, which keeps the same shards without staging buffers
+// (service/sketch_registry.h).
 #ifndef REQSKETCH_CONCURRENCY_SHARDED_REQ_SKETCH_H_
 #define REQSKETCH_CONCURRENCY_SHARDED_REQ_SKETCH_H_
 
@@ -86,25 +87,6 @@ inline ReqConfig ShardConfig(const ReqConfig& base, size_t shard) {
   ReqConfig config = base;
   config.seed = base.seed + shard;
   return config;
-}
-
-// The merge-on-query sketch: one N-way Merge of the non-empty `shards`, in
-// index order, into a fresh sketch whose seed is decorrelated from shard
-// 0's compaction coin flips.
-template <typename T, typename Compare>
-ReqSketch<T, Compare> MergeShards(
-    const ReqConfig& base,
-    const std::vector<const ReqSketch<T, Compare>*>& shards,
-    const Compare& comp = Compare()) {
-  ReqConfig merged_config = base;
-  merged_config.seed = base.seed ^ 0x9e3779b97f4a7c15ULL;
-  ReqSketch<T, Compare> merged(merged_config, comp);
-  std::vector<const ReqSketch<T, Compare>*> sources;
-  for (const ReqSketch<T, Compare>* shard : shards) {
-    if (!shard->is_empty()) sources.push_back(shard);
-  }
-  if (!sources.empty()) merged.Merge(sources.data(), sources.size());
-  return merged;
 }
 
 // The sharded serde layout ("SHRQ"):

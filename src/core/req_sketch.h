@@ -989,6 +989,27 @@ class ReqSketch {
   mutable detail::CopyableMutex view_mutex_;
 };
 
+// The merge-on-query sketch over a set of parts (the shards of a sharded
+// sketch, the live buckets of a window): one N-way Merge of the non-empty
+// `parts`, in the given order, into a fresh sketch configured like `base`
+// but seeded so its compaction coin flips are decorrelated from the part
+// seeded base.seed.
+template <typename T, typename Compare>
+ReqSketch<T, Compare> MergeShards(
+    const ReqConfig& base,
+    const std::vector<const ReqSketch<T, Compare>*>& parts,
+    const Compare& comp = Compare()) {
+  ReqConfig merged_config = base;
+  merged_config.seed = base.seed ^ 0x9e3779b97f4a7c15ULL;
+  ReqSketch<T, Compare> merged(merged_config, comp);
+  std::vector<const ReqSketch<T, Compare>*> sources;
+  for (const ReqSketch<T, Compare>* part : parts) {
+    if (!part->is_empty()) sources.push_back(part);
+  }
+  if (!sources.empty()) merged.Merge(sources.data(), sources.size());
+  return merged;
+}
+
 }  // namespace req
 
 #endif  // REQSKETCH_CORE_REQ_SKETCH_H_

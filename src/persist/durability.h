@@ -10,9 +10,10 @@
 //                    metric names are arbitrary printable ASCII and may
 //                    contain '/'), managed by persist::MetricLog.
 //
-// The manager implements persist::DirectoryHook, so a SketchRegistry with
-// SetDurability() wired logs CREATE/DROP under its own exclusive
-// directory lock (which doubles as the manifest's write serialization).
+// A SketchRegistry with SetDurability() wired calls the manager's
+// lifecycle methods (OnCreate/OnDrop under its exclusive directory lock,
+// which doubles as the manifest's write serialization; OnEvict/
+// OnRehydrate under the metric's lifecycle lock).
 // Manifest appends are ALWAYS fsynced -- a lost data batch costs one
 // batch, a lost CREATE orphans a whole metric directory.
 //
@@ -56,7 +57,15 @@ struct DurabilityOptions {
   IoInjector* io = nullptr;
 };
 
-class DurabilityManager : public DirectoryHook {
+// What OnRehydrate hands back for an evicted metric being touched again:
+// the durable state to rebuild the engine from, plus a fresh WAL opened at
+// the state's next LSN for the rebuilt engine to append to.
+struct RehydratedMetric {
+  RecoveredMetricState state;
+  std::shared_ptr<MetricLog> log;
+};
+
+class DurabilityManager {
  public:
   // Opens (creating if absent) the data directory and loads the manifest.
   // Throws IoError when the directory cannot be created or written.
@@ -82,10 +91,12 @@ class DurabilityManager : public DirectoryHook {
   const std::string& data_dir() const { return data_dir_; }
   size_t live_metrics() const { return live_.size(); }
 
-  // --- DirectoryHook (called under the registry's exclusive lock) -----------
+  // --- registry lifecycle ---------------------------------------------------
 
-  std::shared_ptr<MetricLog> OnCreate(
-      const std::string& name, const service::MetricSpec& spec) override {
+  // The name is known-free. Returns the new metric's WAL (never null);
+  // throwing IoError aborts the CREATE before the registry publishes it.
+  std::shared_ptr<MetricLog> OnCreate(const std::string& name,
+                                      const service::MetricSpec& spec) {
     std::lock_guard<std::mutex> lock(mutex_);
     const uint64_t id = next_id_++;
     // Manifest first, then the directory: a manifest entry pointing at a
@@ -105,7 +116,7 @@ class DurabilityManager : public DirectoryHook {
     return log;
   }
 
-  void OnDrop(const std::string& name) override {
+  void OnDrop(const std::string& name) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = live_.find(name);
     if (it == live_.end()) return;
@@ -124,7 +135,7 @@ class DurabilityManager : public DirectoryHook {
   // The metric checkpointed and closed its WAL (idle eviction). Only the
   // manager's handle is released -- the metric stays manifest-live and
   // its directory keeps the checkpoint the next touch rehydrates from.
-  void OnEvict(const std::string& name) override {
+  void OnEvict(const std::string& name) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = live_.find(name);
     if (it != live_.end()) it->second.log.reset();
@@ -135,7 +146,7 @@ class DurabilityManager : public DirectoryHook {
   // the WAL to an empty segment at that LSN, so the MetricLog
   // constructor's same-name truncation cannot discard acknowledged data
   // (the retired engine stopped appending before the checkpoint).
-  RehydratedMetric OnRehydrate(const std::string& name) override {
+  RehydratedMetric OnRehydrate(const std::string& name) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = live_.find(name);
     if (it == live_.end()) {

@@ -86,7 +86,6 @@ class MetricLog {
         metric_name_(std::move(metric_name)),
         options_(options),
         next_lsn_(next_lsn),
-        segment_first_lsn_(next_lsn),
         last_sync_(std::chrono::steady_clock::now()) {
     segment_ = CreateSegmentFile(dir_ + "/" + SegmentFileName(next_lsn),
                                  kSegmentMagic, next_lsn, options_.io);
@@ -169,7 +168,6 @@ class MetricLog {
                                  kSegmentMagic, lsn, options_.io);
     segment_.Fsync();
     FsyncDir(dir_, options_.io);
-    segment_first_lsn_ = lsn;
     failed_ = false;  // fresh segment: the poisoned bytes are obsolete
     bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
     std::error_code ec;
@@ -229,7 +227,6 @@ class MetricLog {
   AppendFile segment_;
   bool failed_ = false;  // guarded by mutex_; see AppendBatch
   std::atomic<uint64_t> next_lsn_;
-  uint64_t segment_first_lsn_;
   std::atomic<uint64_t> bytes_since_checkpoint_{0};
   std::chrono::steady_clock::time_point last_sync_;
   std::atomic<bool> dropped_{false};
@@ -303,40 +300,6 @@ inline RecoveredMetricState ReadMetricState(const std::string& dir,
   state.next_lsn = next;
   return state;
 }
-
-// --- registry-facing lifecycle hook -----------------------------------------
-
-// What OnRehydrate hands back for an evicted metric being touched again:
-// the durable state to rebuild the engine from, plus a fresh WAL opened at
-// the state's next LSN for the rebuilt engine to append to.
-struct RehydratedMetric {
-  RecoveredMetricState state;
-  std::shared_ptr<MetricLog> log;
-};
-
-// Durability hook the registry calls under its exclusive directory lock
-// (OnCreate/OnDrop) or the metric's lifecycle lock (OnEvict/OnRehydrate);
-// implemented by persist::DurabilityManager, null when the service runs
-// without --data-dir.
-class DirectoryHook {
- public:
-  virtual ~DirectoryHook() = default;
-  // The name is known-free. Returns the new metric's WAL (never null);
-  // throwing IoError aborts the CREATE before the registry publishes it.
-  virtual std::shared_ptr<MetricLog> OnCreate(
-      const std::string& name, const service::MetricSpec& spec) = 0;
-  virtual void OnDrop(const std::string& name) = 0;
-  // The metric just checkpointed and closed its WAL (idle eviction): the
-  // manager releases its handle so the engine can be dropped from memory.
-  // Default: nothing to release.
-  virtual void OnEvict(const std::string& name) { (void)name; }
-  // An evicted metric was touched: return its durable state plus a fresh
-  // WAL to attach to the rebuilt engine. Only meaningful for managers
-  // that actually evict; the default refuses.
-  virtual RehydratedMetric OnRehydrate(const std::string& name) {
-    throw IoError("metric '" + name + "' has no durable state to rehydrate");
-  }
-};
 
 }  // namespace persist
 }  // namespace req

@@ -379,11 +379,7 @@ class ReqClient {
   // already spent -- the caller then surfaces the error instead of
   // retrying.
   bool BackoffWithinBudget(uint64_t backoff_ms, SocketDeadline budget) {
-    jitter_state_ =
-        jitter_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    const uint64_t half = backoff_ms / 2;
-    uint64_t sleep_ms = half + (jitter_state_ >> 33) % (half + 1);
-    if (sleep_ms == 0) sleep_ms = 1;
+    uint64_t sleep_ms = std::max<uint64_t>(JitteredMs(backoff_ms), 1);
     if (budget != NoDeadline()) {
       const SocketClock::time_point now = SocketClock::now();
       if (now >= budget) return false;
@@ -395,6 +391,15 @@ class ReqClient {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     return true;
+  }
+
+  // A jittered draw from [b/2, b]: full-jitter style, so a fleet of
+  // clients that lost the same server does not retry in lockstep.
+  uint64_t JitteredMs(uint64_t backoff_ms) {
+    jitter_state_ =
+        jitter_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    const uint64_t half = backoff_ms / 2;
+    return half + (jitter_state_ >> 33) % (half + 1);
   }
 
   // Redials host_:port_ with jittered exponential backoff; rethrows the
@@ -411,13 +416,8 @@ class ReqClient {
       } catch (const std::runtime_error&) {
         if (attempt + 1 >= options_.reconnect.max_attempts) throw;
       }
-      // Sleep in [b/2, b]: full-jitter style, so a fleet of clients that
-      // lost the same server does not redial in lockstep.
-      jitter_state_ =
-          jitter_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-      const uint64_t half = backoff_ms / 2;
-      const uint64_t sleep_ms = half + (jitter_state_ >> 33) % (half + 1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(JitteredMs(backoff_ms)));
       backoff_ms = std::min(backoff_ms * 2, options_.reconnect.max_backoff_ms);
     }
   }

@@ -22,7 +22,7 @@
 // being flushed (from an offset) and `staging` is where new responses
 // encode; one gather-write (WritevNonBlocking) sends both, and when
 // `pending` drains the two swap so allocations recycle. A peer that
-// queries faster than it reads answers trips max_outbound_bytes and has
+// queries faster than it reads answers trips kMaxOutboundBytes and has
 // its reads paused until the queue flushes -- backpressure, not OOM.
 //
 // Hostile-network posture (exercised by tests/service_chaos_test.cc and
@@ -110,7 +110,6 @@ struct ReqdServerConfig {
   int backlog = 0;
   // Event-loop worker threads. 0 = hardware concurrency (min 1).
   uint32_t workers = 0;
-  uint32_t max_frame_payload = kMaxFramePayload;
   // Connection cap; above it new connections get one kOverloaded frame
   // and a close instead of a worker slot. 0 = uncapped.
   uint64_t max_connections = 0;
@@ -125,12 +124,13 @@ struct ReqdServerConfig {
   // while output is queued (a blackholed downstream must not hold its
   // buffers forever). 0 = unbounded.
   uint64_t send_timeout_ms = 30000;
-  // Pause reading a connection once its un-flushed responses exceed
-  // this many bytes; reads resume when the queue drains. 0 = unbounded.
-  uint64_t max_outbound_bytes = uint64_t{8} << 20;  // 8 MiB
-  // Backoff after a transient accept() failure under fd exhaustion.
-  uint64_t accept_backoff_ms = 50;
 };
+
+// Pause reading a connection once its un-flushed responses exceed this
+// many bytes; reads resume when the queue drains.
+inline constexpr uint64_t kMaxOutboundBytes = uint64_t{8} << 20;  // 8 MiB
+// Backoff after a transient accept() failure under fd exhaustion.
+inline constexpr uint64_t kAcceptBackoffMs = 50;
 
 // A single-level timer wheel: kSlots slots of kTickMs, fds as entries.
 // Scheduling and re-arming are O(1); cancellation is lazy -- a fired fd
@@ -340,8 +340,7 @@ class ReqdServer {
   // is the double buffer described in the class comment: `pending` (from
   // `pending_off`) is being flushed, `staging` receives new responses.
   struct Conn {
-    Conn(int raw_fd, uint32_t max_payload)
-        : fd(raw_fd), decoder(max_payload) {}
+    explicit Conn(int raw_fd) : fd(raw_fd) {}
 
     size_t OutboundBytes() const {
       return (pending.size() - pending_off) + staging.size();
@@ -406,7 +405,7 @@ class ReqdServer {
         // back off before the next attempt.
         if (errno == EBADF || errno == EINVAL) break;
         accept_failures_.fetch_add(1, std::memory_order_relaxed);
-        SleepWhileRunning(config_.accept_backoff_ms);
+        SleepWhileRunning(kAcceptBackoffMs);
         continue;
       }
       SetNoDelay(conn);
@@ -537,7 +536,7 @@ class ReqdServer {
       fresh.swap(w->inbox);
     }
     for (int raw : fresh) {
-      auto conn = std::make_unique<Conn>(raw, config_.max_frame_payload);
+      auto conn = std::make_unique<Conn>(raw);
       Conn* c = conn.get();
       c->idle_deadline = DeadlineAfterMs(config_.idle_timeout_ms);
       w->conns.emplace(raw, std::move(conn));
@@ -614,8 +613,7 @@ class ReqdServer {
         HandleFrame(*payload, budget, &c->staging);
         frames_.fetch_add(1, std::memory_order_relaxed);
       }
-      if (config_.max_outbound_bytes > 0 &&
-          c->OutboundBytes() > config_.max_outbound_bytes) {
+      if (c->OutboundBytes() > kMaxOutboundBytes) {
         c->paused_read = true;  // backpressure; flushed at loop top
       }
     }

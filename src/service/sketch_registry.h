@@ -12,20 +12,23 @@
 //   kWindowed -> WindowedReqSketch<double>: count-driven sliding window
 //                (bucket_items per bucket, num_buckets buckets).
 //
+// Every kind is one Engine<State> over its structure; the only per-kind
+// code is how the state is built and serialized.
+//
 // Ingest path: every engine serializes its appends on a per-engine append
 // mutex (many connections may append to one metric; they take turns), so
 // the WAL's batch order is the engine's apply order. Every engine applies
-// each batch directly with one batch Update under its state mutex -- the
-// sharded engine into the next shard in rotation. Nothing is buffered:
-// an acknowledged batch is already in the sketch.
+// each batch directly with one batch Update under the exclusive state
+// lock -- the sharded engine into the next shard in rotation. Nothing is
+// buffered: an acknowledged batch is already in the state.
 //
-// Query path: queries run against an epoch-tagged snapshot -- a
-// standalone ReqSketch with its sorted view prewarmed (a copy of the plain
-// sketch, the window's merged buckets, or the N-way merge of the shards),
-// cached in a concurrency::EpochSnapshotCache and rebuilt only after an
-// append changed the state, so every APPEND acknowledged before the query
-// is visible. While a metric is not being appended to, any number of
-// connections query it lock-free.
+// Query path: queries take the state lock shared and ask the state
+// itself, so every APPEND acknowledged before the query is visible and no
+// engine keeps a second copy of its state. The plain sketch repairs its
+// memoized sorted view incrementally; the window memoizes the merge of its
+// buckets; the shard rotation memoizes the merge of its shards. Any number
+// of connections query one metric at once, but an append to a metric
+// waits for its in-flight queries (and a query for an in-flight append).
 //
 // Tenancy spine (the million-metric refactor): the name->engine map is
 // sharded by name hash into kRegistryShards independent mutex+map shards,
@@ -71,6 +74,7 @@
 #include "concurrency/sharded_req_sketch.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
+#include "persist/durability.h"
 #include "persist/metric_log.h"
 #include "service/wire_protocol.h"
 #include "util/validation.h"
@@ -137,7 +141,7 @@ inline void ValidateMetricSpec(const MetricSpec& spec) {
 // Snapshot may run concurrently with appends and each other.
 //
 // Durability: when a WAL is attached (SetLog, done by the registry's
-// durability hook or the recovery path), every Append logs its batch
+// durability manager or the recovery path), every Append logs its batch
 // BEFORE applying it, under the same append mutex -- so the WAL's batch
 // order IS the engine's apply order, and the engine's state at WAL
 // position L is exactly "the first L batches applied". Snapshot() and the
@@ -160,16 +164,16 @@ class MetricEngine {
   // as persist::IoError before any state change).
   virtual void Append(const double* data, size_t count) = 0;
 
-  // Resident heap bytes this engine holds (sketch payloads, snapshot
+  // Resident heap bytes this engine holds (sketch payloads, view
   // caches, allocator slack). The registry's quota accounting
   // charges this figure per metric; it is a measurement, not a contract,
   // and may be briefly stale against concurrent appends.
   virtual size_t MemoryFootprint() const = 0;
 
-  // Releases allocator slack (snapshot caches, scratch, arena slack)
+  // Releases allocator slack (view caches, scratch, arena slack)
   // without changing any answer. The memory-only idle path; durable idle
   // metrics get evicted outright via RetireForEviction instead.
-  virtual void TrimMemory() {}
+  virtual void TrimMemory() = 0;
 
   // True once RetireForEviction succeeded: the engine took its final
   // checkpoint and closed its WAL. Queries still serve the final state;
@@ -269,23 +273,166 @@ inline std::vector<uint8_t> SnapshotBlobPayload(
   return std::vector<uint8_t>(blob.begin() + 1, blob.end());
 }
 
-// --- the shared engine base ------------------------------------------------
+// --- engine state ----------------------------------------------------------
 
-// Shared machinery for every engine: appends apply directly to one
-// underlying structure (a sketch, a window, a shard rotation) and queries
-// are served from an epoch-cached ReqSketch snapshot. Derived classes
-// choose the underlying type and how to snapshot it; the append/epoch
-// protocol lives here exactly once.
+namespace detail {
+
+// The sharded engine's state: num_shards sketches, shard i seeded
+// base.seed + i. Each Update applies one whole batch to shard
+// `batches % num_shards` (empty batches advance the rotation too), so
+// every shard's stream is a pure function of the batch order -- the WAL
+// order, in which batch b went to shard b % num_shards.
 //
-// Appends are serialized by the append mutex: a concurrent writer waits
-// its turn, then applies its whole batch with one batch Update(data,
-// count). The sketch therefore depends only on the order the batches land
-// in, which is also their WAL order.
-template <typename Underlying>
-class SingleSketchEngineBase : public MetricEngine {
+// Queries go to the N-way merge of the shards, memoized in an
+// EpochSnapshotCache keyed on the batch count and sorted-view-warmed
+// before it is published, so concurrent readers share one build. The
+// owning engine mutates only under its exclusive state lock and reads
+// under the shared one, so the plain batch counter is race-free.
+class RotatingShards {
  public:
   using Sketch = ReqSketch<double>;
 
+  explicit RotatingShards(const MetricSpec& spec)
+      : buffer_capacity_(spec.buffer_capacity) {
+    shards_.reserve(spec.num_shards);
+    for (size_t i = 0; i < spec.num_shards; ++i) {
+      shards_.emplace_back(concurrency::ShardConfig(spec.base, i));
+    }
+  }
+
+  // Recovery: restores the serialized shards positioned at WAL batch
+  // `batches`, so replay routes every batch to the shard it first hit.
+  // The recorded buffer_capacity is not state (the spec supplies it).
+  RotatingShards(const MetricSpec& spec, const std::vector<uint8_t>& payload,
+                 uint64_t batches)
+      : buffer_capacity_(spec.buffer_capacity), batches_(batches) {
+    uint64_t recorded_capacity = 0;
+    shards_ =
+        concurrency::DeserializeShards<double>(payload, &recorded_capacity);
+    util::CheckData(shards_.size() == spec.num_shards,
+                    "sharded snapshot shard count differs from spec");
+  }
+
+  void Update(const double* data, size_t count) {
+    shards_[batches_ % shards_.size()].Update(data, count);
+    ++batches_;
+  }
+
+  std::vector<uint64_t> GetRanks(const std::vector<double>& ys,
+                                 Criterion criterion) const {
+    return View()->GetRanks(ys, criterion);
+  }
+  std::vector<double> GetQuantiles(const std::vector<double>& qs,
+                                   Criterion criterion) const {
+    return View()->GetQuantiles(qs, criterion);
+  }
+  std::vector<double> GetCDF(const std::vector<double>& splits,
+                             Criterion criterion) const {
+    return View()->GetCDF(splits, criterion);
+  }
+
+  // The SHRQ layout, recording the spec's buffer_capacity in its header.
+  std::vector<uint8_t> Serialize() const {
+    return concurrency::SerializeShards(Pointers(), buffer_capacity_);
+  }
+
+  // shards_ is sized exactly, and each shard's MemoryBytes() counts its
+  // own sizeof.
+  size_t MemoryBytes() const {
+    size_t bytes = sizeof(*this);
+    for (const Sketch& shard : shards_) bytes += shard.MemoryBytes();
+    if (std::shared_ptr<const Sketch> merged = merged_.Peek()) {
+      bytes += merged->MemoryBytes();
+    }
+    return bytes;
+  }
+
+  void TrimMemory() {
+    for (Sketch& shard : shards_) shard.TrimMemory();
+    merged_.Invalidate();
+  }
+
+ private:
+  std::vector<const Sketch*> Pointers() const {
+    std::vector<const Sketch*> sketches;
+    sketches.reserve(shards_.size());
+    for (const Sketch& shard : shards_) sketches.push_back(&shard);
+    return sketches;
+  }
+
+  // The merge over shard 0's config, which is the base config (shard 0
+  // is seeded base.seed + 0).
+  std::shared_ptr<const Sketch> View() const {
+    return merged_.Get(
+        [this] { return batches_; },
+        [this] {
+          Sketch merged = MergeShards(shards_.front().config(), Pointers());
+          merged.PrepareSortedView();
+          return merged;
+        });
+  }
+
+  std::vector<Sketch> shards_;
+  uint64_t buffer_capacity_;
+  uint64_t batches_ = 0;  // batches applied; the next goes to this % size
+  concurrency::EpochSnapshotCache<Sketch> merged_;
+};
+
+inline window::WindowedReqConfig WindowConfigOf(const MetricSpec& spec) {
+  window::WindowedReqConfig config;
+  config.num_buckets = spec.num_buckets;
+  config.bucket_items = spec.bucket_items;
+  config.base = spec.base;
+  return config;
+}
+
+// Each state's serde bytes: ReqSerde, SHRQ, or the windowed serde.
+inline std::vector<uint8_t> SerializeState(const ReqSketch<double>& sketch) {
+  return SerializeSketch(sketch);
+}
+inline std::vector<uint8_t> SerializeState(const RotatingShards& shards) {
+  return shards.Serialize();
+}
+// The window itself (ring, rotations, bucket epochs), not its merged
+// view: a restored snapshot keeps expiring correctly. (Count-driven
+// rotation happens inside the batch update, at the same boundaries
+// per-item feeding would produce.)
+inline std::vector<uint8_t> SerializeState(
+    const window::WindowedReqSketch<double>& window) {
+  return window.Serialize();
+}
+
+}  // namespace detail
+
+// --- the engine ------------------------------------------------------------
+
+// One metric's engine over its State: ReqSketch<double> (kPlain),
+// detail::RotatingShards (kSharded) or WindowedReqSketch<double>
+// (kWindowed). The append/query protocol lives here exactly once.
+//
+// Appends are serialized by the append mutex: a concurrent writer waits
+// its turn, then applies its whole batch with one batch Update(data,
+// count) under the exclusive state lock. The state therefore depends only
+// on the order the batches land in, which is also their WAL order.
+//
+// Queries, snapshots and accounting take the state lock shared and read
+// the state itself. That rests on each state's concurrent-const-query
+// contract: the sketch's double-checked sorted view (repaired
+// incrementally after appends), the window's double-checked merged view
+// and the shard rotation's epoch-cached merge.
+template <class State>
+class Engine final : public MetricEngine {
+ public:
+  // Builds the state in place from `state_args`. accepted_n != 0 only on
+  // the recovery path, restoring the checkpoint's acknowledged-item count
+  // before WAL replay re-appends the tail.
+  template <class... Args>
+  Engine(const MetricSpec& spec, uint64_t accepted_n, Args&&... state_args)
+      : spec_(spec), state_(std::forward<Args>(state_args)...) {
+    accepted_n_.store(accepted_n, std::memory_order_release);
+  }
+
+  EngineKind kind() const override { return spec_.kind; }
   const MetricSpec& spec() const override { return spec_; }
 
   void Append(const double* data, size_t count) override {
@@ -299,270 +446,58 @@ class SingleSketchEngineBase : public MetricEngine {
     // order could acknowledge a batch that never reached the log.
     if (log_) log_->AppendBatch(data, count);
     {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      underlying_.Update(data, count);
-      // Bump INSIDE the lock: a query that rebuilds its snapshot under
-      // the state mutex after this apply must read the bumped epoch, or
-      // the cache could keep serving a snapshot missing this batch.
-      epoch_.fetch_add(1, std::memory_order_release);
+      std::unique_lock<std::shared_mutex> lock(state_mutex_);
+      state_.Update(data, count);
     }
     accepted_n_.fetch_add(count, std::memory_order_release);
   }
 
   size_t MemoryFootprint() const override {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    // underlying_ is embedded, so its MemoryBytes() (which counts its
-    // own sizeof) must replace -- not add to -- its share of
-    // sizeof(*this).
-    size_t bytes =
-        sizeof(*this) - sizeof(Underlying) + underlying_.MemoryBytes();
-    if (std::shared_ptr<const Sketch> snap = cache_.Peek()) {
-      bytes += snap->MemoryBytes();
-    }
-    return bytes;
+    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    // state_ is embedded, so its MemoryBytes() (which counts its own
+    // sizeof) must replace -- not add to -- its share of sizeof(*this).
+    return sizeof(*this) - sizeof(State) + state_.MemoryBytes();
   }
 
-  // Memory-only idle path: drop the snapshot cache and release arena
-  // slack. Answers are unchanged; the next query rebuilds its snapshot.
+  // Memory-only idle path: release the state's view caches and arena
+  // slack. Answers are unchanged; the next query rebuilds its view.
   void TrimMemory() override {
-    std::lock_guard<std::mutex> produce(append_mutex_);
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    underlying_.TrimMemory();
-    cache_.Invalidate();
+    std::unique_lock<std::shared_mutex> lock(state_mutex_);
+    state_.TrimMemory();
   }
 
   std::vector<uint64_t> GetRanks(const std::vector<double>& ys,
                                  Criterion criterion) override {
-    return View()->GetRanks(ys, criterion);
+    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    return state_.GetRanks(ys, criterion);
   }
   std::vector<double> GetQuantiles(const std::vector<double>& qs,
                                    Criterion criterion) override {
-    return View()->GetQuantiles(qs, criterion);
+    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    return state_.GetQuantiles(qs, criterion);
   }
   std::vector<double> GetCDF(const std::vector<double>& splits,
                              Criterion criterion) override {
-    return View()->GetCDF(splits, criterion);
+    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    return state_.GetCDF(splits, criterion);
   }
 
- protected:
-  // accepted_n != 0 only on the recovery path, restoring the checkpoint's
-  // acknowledged-item count before WAL replay re-appends the tail.
-  SingleSketchEngineBase(const MetricSpec& spec, Underlying underlying,
-                         uint64_t accepted_n = 0)
-      : spec_(spec), underlying_(std::move(underlying)) {
-    accepted_n_.store(accepted_n, std::memory_order_release);
-  }
-
-  // Builds the query snapshot from underlying_; called under
-  // state_mutex_ (the sorted-view warm-up happens outside it).
-  virtual Sketch MakeSnapshotLocked() = 0;
-
-  // underlying_'s serde bytes (ReqSerde / windowed serde / SHRQ); called
-  // under state_mutex_.
-  virtual std::vector<uint8_t> SerializeLocked() const = 0;
-
-  // Kind tag + SerializeLocked(). The caller holds the append mutex, so
-  // the blob sits on a WAL batch boundary.
-  std::vector<uint8_t> SnapshotLocked() final {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    std::vector<uint8_t> blob{static_cast<uint8_t>(kind())};
-    const std::vector<uint8_t> bytes = SerializeLocked();
+ private:
+  // Kind tag + the state's serde bytes. The caller holds the append
+  // mutex, so the blob sits on a WAL batch boundary.
+  std::vector<uint8_t> SnapshotLocked() override {
+    std::shared_lock<std::shared_mutex> lock(state_mutex_);
+    std::vector<uint8_t> blob{static_cast<uint8_t>(spec_.kind)};
+    const std::vector<uint8_t> bytes = detail::SerializeState(state_);
     blob.insert(blob.end(), bytes.begin(), bytes.end());
     return blob;
   }
 
-  std::shared_ptr<const Sketch> View() {
-    return cache_.Get(
-        [this] { return epoch_.load(std::memory_order_acquire); },
-        [this] {
-          std::unique_lock<std::mutex> lock(state_mutex_);
-          Sketch snap = MakeSnapshotLocked();
-          lock.unlock();
-          // Warm the sorted view outside the state lock: queries on the
-          // published snapshot then take only lock-free reads.
-          snap.PrepareSortedView();
-          return snap;
-        });
-  }
-
   const MetricSpec spec_;
-  // Guards underlying_ against the snapshot builds and accounting reads
-  // that run beside appends. (Appenders are serialized by the base
-  // append_mutex_.)
-  mutable std::mutex state_mutex_;
-  Underlying underlying_;
-  std::atomic<uint64_t> epoch_{0};
-  concurrency::EpochSnapshotCache<Sketch> cache_;
-};
-
-// --- plain -----------------------------------------------------------------
-
-class PlainReqEngine final : public SingleSketchEngineBase<ReqSketch<double>> {
- public:
-  explicit PlainReqEngine(const MetricSpec& spec)
-      : SingleSketchEngineBase(spec, Sketch(spec.base)) {}
-
-  // Recovery: adopts a checkpoint-restored sketch (ReqSerde v2 carries
-  // the exact PRNG state, so continuation is bit-identical).
-  PlainReqEngine(const MetricSpec& spec, Sketch&& restored,
-                 uint64_t accepted_n)
-      : SingleSketchEngineBase(spec, std::move(restored), accepted_n) {}
-
-  EngineKind kind() const override { return EngineKind::kPlain; }
-
- protected:
-  std::vector<uint8_t> SerializeLocked() const override {
-    return SerializeSketch(underlying_);
-  }
-
- private:
-  Sketch MakeSnapshotLocked() override { return underlying_; }
-};
-
-// --- sharded ---------------------------------------------------------------
-
-namespace detail {
-
-// The sharded engine's state: num_shards sketches, shard i seeded
-// base.seed + i, and the rotation cursor. Each Update applies one whole
-// batch to the next shard in turn, empty batches included, so every
-// shard's stream is a pure function of the batch order -- the WAL order,
-// in which batch b went to shard b % num_shards.
-class RotatingShards {
- public:
-  using Sketch = ReqSketch<double>;
-
-  explicit RotatingShards(const MetricSpec& spec) {
-    shards_.reserve(spec.num_shards);
-    for (size_t i = 0; i < spec.num_shards; ++i) {
-      shards_.emplace_back(concurrency::ShardConfig(spec.base, i));
-    }
-  }
-
-  // Recovery: restores the serialized shards positioned at WAL batch
-  // `batches`, so replay routes every batch to the shard it first hit.
-  // The recorded buffer_capacity is not state (the spec supplies it).
-  RotatingShards(const MetricSpec& spec, const std::vector<uint8_t>& payload,
-                 uint64_t batches) {
-    uint64_t capacity = 0;
-    shards_ = concurrency::DeserializeShards<double>(payload, &capacity);
-    util::CheckData(shards_.size() == spec.num_shards,
-                    "sharded snapshot shard count differs from spec");
-    next_ = static_cast<size_t>(batches % shards_.size());
-  }
-
-  void Update(const double* data, size_t count) {
-    shards_[next_].Update(data, count);
-    next_ = (next_ + 1) % shards_.size();
-  }
-
-  // The merge-on-query sketch over shard 0's config, which is the base
-  // config (shard 0 is seeded base.seed + 0).
-  Sketch Merged() const {
-    return concurrency::MergeShards(shards_.front().config(), Pointers());
-  }
-
-  std::vector<uint8_t> Serialize(uint64_t buffer_capacity) const {
-    return concurrency::SerializeShards(Pointers(), buffer_capacity);
-  }
-
-  // shards_ is sized exactly, and each shard's MemoryBytes() counts its
-  // own sizeof.
-  size_t MemoryBytes() const {
-    size_t bytes = sizeof(*this);
-    for (const Sketch& shard : shards_) bytes += shard.MemoryBytes();
-    return bytes;
-  }
-
-  void TrimMemory() {
-    for (Sketch& shard : shards_) shard.TrimMemory();
-  }
-
- private:
-  std::vector<const Sketch*> Pointers() const {
-    std::vector<const Sketch*> sketches;
-    sketches.reserve(shards_.size());
-    for (const Sketch& shard : shards_) sketches.push_back(&shard);
-    return sketches;
-  }
-
-  std::vector<Sketch> shards_;
-  size_t next_ = 0;
-};
-
-}  // namespace detail
-
-class ShardedReqEngine final
-    : public SingleSketchEngineBase<detail::RotatingShards> {
- public:
-  explicit ShardedReqEngine(const MetricSpec& spec)
-      : SingleSketchEngineBase(spec, detail::RotatingShards(spec)) {}
-
-  // Recovery: restores the serialized shards and resumes the rotation
-  // where batch number `batches` left it.
-  ShardedReqEngine(const MetricSpec& spec,
-                   const std::vector<uint8_t>& payload, uint64_t accepted_n,
-                   uint64_t batches)
-      : SingleSketchEngineBase(
-            spec, detail::RotatingShards(spec, payload, batches),
-            accepted_n) {}
-
-  EngineKind kind() const override { return EngineKind::kSharded; }
-
- protected:
-  std::vector<uint8_t> SerializeLocked() const override {
-    return underlying_.Serialize(spec_.buffer_capacity);
-  }
-
- private:
-  Sketch MakeSnapshotLocked() override { return underlying_.Merged(); }
-};
-
-// --- windowed --------------------------------------------------------------
-
-class WindowedReqEngine final
-    : public SingleSketchEngineBase<window::WindowedReqSketch<double>> {
- public:
-  using Window = window::WindowedReqSketch<double>;
-
-  explicit WindowedReqEngine(const MetricSpec& spec)
-      : SingleSketchEngineBase(spec, Window(MakeConfig(spec))) {}
-
-  // Recovery: adopts a checkpoint-restored window (rotation is
-  // count-driven, and each bucket's sketch carries its exact PRNG state,
-  // so WAL replay rotates and compacts identically).
-  WindowedReqEngine(const MetricSpec& spec, Window&& restored,
-                    uint64_t accepted_n)
-      : SingleSketchEngineBase(spec, std::move(restored), accepted_n) {}
-
-  EngineKind kind() const override { return EngineKind::kWindowed; }
-
- protected:
-  std::vector<uint8_t> SerializeLocked() const override {
-    // Serialize the window itself (ring, rotations, bucket epochs), not
-    // its merged view: a restored snapshot keeps expiring correctly.
-    // (Count-driven rotation happens inside the batch update, at the
-    // same boundaries per-item feeding would produce.)
-    return underlying_.Serialize();
-  }
-
- private:
-  static window::WindowedReqConfig MakeConfig(const MetricSpec& spec) {
-    window::WindowedReqConfig config;
-    config.num_buckets = spec.num_buckets;
-    config.bucket_items = spec.bucket_items;
-    config.base = spec.base;
-    return config;
-  }
-
-  Sketch MakeSnapshotLocked() override {
-    if (underlying_.is_empty()) {
-      // Queries on the empty snapshot throw the standard empty-sketch
-      // logic_error, matching the window's own checks.
-      return Sketch(spec_.base);
-    }
-    return underlying_.MergedSnapshot();
-  }
+  // Exclusive for Update and TrimMemory; shared for queries, snapshots
+  // and accounting. (Appenders are serialized by the append mutex.)
+  mutable std::shared_mutex state_mutex_;
+  State state_;
 };
 
 // --- the registry ----------------------------------------------------------
@@ -591,10 +526,10 @@ class SketchRegistry {
   SketchRegistry(const SketchRegistry&) = delete;
   SketchRegistry& operator=(const SketchRegistry&) = delete;
 
-  // Wires the durability hook (persist::DurabilityManager). Called once,
-  // before serving -- typically by DurabilityManager::RecoverInto. Null
-  // (the default) runs the registry memory-only.
-  void SetDurability(persist::DirectoryHook* durability) {
+  // Wires the durability manager. Called once, before serving --
+  // typically by DurabilityManager::RecoverInto. Null (the default) runs
+  // the registry memory-only.
+  void SetDurability(persist::DurabilityManager* durability) {
     durability_ = durability;
   }
 
@@ -645,7 +580,7 @@ class SketchRegistry {
 
   // Recovery-path Create: installs an engine rebuilt from a checkpoint
   // blob (empty => fresh engine) positioned at WAL batch `batches`,
-  // WITHOUT notifying the durability hook -- the metric already exists on
+  // WITHOUT notifying the durability manager -- the metric already exists on
   // disk; the caller replays the WAL tail and then attaches the log via
   // SetLog. Quotas are accounted but NOT enforced: recovery must never
   // refuse state that was already acknowledged. Single-threaded use,
@@ -1026,7 +961,7 @@ class SketchRegistry {
     if (engine) return engine;  // another thread rehydrated first
     if (entry->dropped.load(std::memory_order_acquire)) return nullptr;
     util::CheckState(durability_ != nullptr,
-                     "evicted metric without a durability hook");
+                     "evicted metric without a durability manager");
     persist::RehydratedMetric r = durability_->OnRehydrate(name);
     EnginePtr fresh =
         r.state.snapshot_blob.empty()
@@ -1115,19 +1050,23 @@ class SketchRegistry {
   static EnginePtr MakeEngine(const MetricSpec& spec) {
     switch (spec.kind) {
       case EngineKind::kPlain:
-        return std::make_shared<PlainReqEngine>(spec);
+        return std::make_shared<Engine<ReqSketch<double>>>(spec, 0, spec.base);
       case EngineKind::kSharded:
-        return std::make_shared<ShardedReqEngine>(spec);
+        return std::make_shared<Engine<detail::RotatingShards>>(spec, 0, spec);
       case EngineKind::kWindowed:
-        return std::make_shared<WindowedReqEngine>(spec);
+        return std::make_shared<Engine<window::WindowedReqSketch<double>>>(
+            spec, 0, detail::WindowConfigOf(spec));
     }
     throw std::invalid_argument("unknown engine kind");
   }
 
-  // Rebuilds an engine from a kind-tagged checkpoint blob. The blob is
-  // untrusted (it came off disk): kind mismatches and serde corruption
-  // throw runtime_error, which recovery surfaces at startup rather than
-  // serving a metric whose state silently disagrees with its spec.
+  // Rebuilds an engine from a kind-tagged checkpoint blob, positioned at
+  // WAL batch `batches`. ReqSerde v2 carries each sketch's exact PRNG
+  // state and window rotation is count-driven, so replaying the WAL tail
+  // continues bit-identically. The blob is untrusted (it came off disk):
+  // kind mismatches and serde corruption throw runtime_error, which
+  // recovery surfaces at startup rather than serving a metric whose state
+  // silently disagrees with its spec.
   static EnginePtr MakeRecoveredEngine(const MetricSpec& spec,
                                        const std::vector<uint8_t>& blob,
                                        uint64_t accepted_n,
@@ -1137,21 +1076,21 @@ class SketchRegistry {
     const std::vector<uint8_t> payload = SnapshotBlobPayload(blob);
     switch (spec.kind) {
       case EngineKind::kPlain:
-        return std::make_shared<PlainReqEngine>(
-            spec, DeserializeSketch<double>(payload), accepted_n);
+        return std::make_shared<Engine<ReqSketch<double>>>(
+            spec, accepted_n, DeserializeSketch<double>(payload));
       case EngineKind::kSharded:
-        return std::make_shared<ShardedReqEngine>(spec, payload, accepted_n,
-                                                  batches);
+        return std::make_shared<Engine<detail::RotatingShards>>(
+            spec, accepted_n, spec, payload, batches);
       case EngineKind::kWindowed:
-        return std::make_shared<WindowedReqEngine>(
-            spec, window::WindowedReqSketch<double>::Deserialize(payload),
-            accepted_n);
+        return std::make_shared<Engine<window::WindowedReqSketch<double>>>(
+            spec, accepted_n,
+            window::WindowedReqSketch<double>::Deserialize(payload));
     }
     throw std::invalid_argument("unknown engine kind");
   }
 
   std::array<Shard, kRegistryShards> shards_;
-  persist::DirectoryHook* durability_ = nullptr;
+  persist::DurabilityManager* durability_ = nullptr;
   std::atomic<uint64_t> max_metrics_{0};
   std::atomic<uint64_t> max_memory_bytes_{0};
   std::atomic<uint64_t> total_metrics_{0};

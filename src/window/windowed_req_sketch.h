@@ -29,8 +29,9 @@
 // by the same double-checked pattern as ReqSketch's sorted-view cache: any
 // number of threads may run const queries concurrently; mutations
 // (Update/Rotate) require exclusive access. For concurrent producers, see
-// the service's WindowedReqEngine (service/sketch_registry.h), which
-// serializes appends on a per-metric mutex.
+// the service's Engine<WindowedReqSketch<double>>
+// (service/sketch_registry.h), which serializes appends on a per-metric
+// mutex and queries the window under a shared lock.
 //
 // Determinism: bucket lifetime ("epoch") e is seeded base.seed + e, so the
 // full window state is a pure function of the input sequence and rotation
@@ -329,7 +330,7 @@ class WindowedReqSketch {
   }
 
   // A standalone ReqSketch summarizing the current window (a copy of the
-  // cached merged view). What the sharded wrapper publishes to queriers.
+  // cached merged view).
   Sketch MergedSnapshot() const {
     util::CheckState(!is_empty(), "MergedSnapshot() on an empty window");
     return Merged();
@@ -480,23 +481,18 @@ class WindowedReqSketch {
     return *merged_cache_;
   }
 
+  // Same bound as every bucket (see WindowedReqConfig::base), so the
+  // merge is pure concatenation plus the scheduled per-level sweep; only
+  // the compaction coin flips are decorrelated from the bucket epochs'.
   Sketch BuildMerged() const {
-    // Same bound as every bucket (see WindowedReqConfig::base), so the
-    // merge is pure concatenation plus the scheduled per-level sweep; only
-    // the compaction coin flips are decorrelated from the bucket epochs'.
-    ReqConfig merged_config = config_.base;
-    merged_config.seed = config_.base.seed ^ 0x9e3779b97f4a7c15ULL;
-    Sketch merged(merged_config, comp_);
-    std::vector<const Sketch*> sources;
-    sources.reserve(buckets_.size());
+    std::vector<const Sketch*> parts;
+    parts.reserve(buckets_.size());
     // Ring order, oldest bucket first: deterministic regardless of how
     // often the ring has wrapped.
     for (size_t i = 1; i <= buckets_.size(); ++i) {
-      const Sketch& bucket = buckets_[(head_ + i) % buckets_.size()];
-      if (!bucket.is_empty()) sources.push_back(&bucket);
+      parts.push_back(&buckets_[(head_ + i) % buckets_.size()]);
     }
-    if (!sources.empty()) merged.Merge(sources.data(), sources.size());
-    return merged;
+    return MergeShards(config_.base, parts, comp_);
   }
 
   WindowedReqConfig config_;

@@ -1,7 +1,7 @@
 // Metric-lifecycle tests for the sharded SketchRegistry: paged
 // prefix-filtered LIST against a brute-force model, tenancy quotas (and
-// their exact rollback), contended appends on the single-sketch kinds
-// (bit-identical to a serial feed), idle eviction + touch rehydration
+// their exact rollback), contended appends racing queries on every engine
+// kind (bit-identical to a serial feed), idle eviction + touch rehydration
 // for all three engine kinds, and a registry-wide eviction-vs-append race
 // stress that the CI ThreadSanitizer job runs.
 #include <algorithm>
@@ -234,13 +234,18 @@ TEST(Quotas, PagedListOverTheWireMatchesRegistry) {
 // --- contended appends ----------------------------------------------------
 
 TEST(ContendedAppend, SingleSketchKindsStayBitIdenticalToSerial) {
-  // The item stream reaches both engines in the identical batch order;
-  // the contended one additionally has a thread hammering empty appends
-  // on the same append mutex. Contention may only change who waits, never
-  // the result: the snapshot must equal the serial engine's bit-for-bit.
+  // The item stream reaches both engines in the identical batch order.
+  // The contended one additionally has a querier thread reading it (and
+  // trimming it now and then) throughout, and -- for the kinds an empty
+  // batch leaves unchanged -- a thread hammering empty appends on the same
+  // append mutex. (An empty batch advances the sharded rotation, so there
+  // its position in the order would matter.) Contention may only change
+  // who waits, never the result: the snapshot must equal the serial
+  // engine's bit-for-bit.
   const std::vector<double> stream = TestStream(2, 80000);
   const size_t batch = 1024;
-  for (EngineKind kind : {EngineKind::kPlain, EngineKind::kWindowed}) {
+  for (EngineKind kind :
+       {EngineKind::kPlain, EngineKind::kSharded, EngineKind::kWindowed}) {
     SCOPED_TRACE(static_cast<int>(kind));
     SketchRegistry serial_registry;
     auto serial = serial_registry.Create("m", SpecOf(kind));
@@ -251,20 +256,44 @@ TEST(ContendedAppend, SingleSketchKindsStayBitIdenticalToSerial) {
     SketchRegistry contended_registry;
     auto contended = contended_registry.Create("m", SpecOf(kind));
     std::atomic<bool> stop{false};
-    std::thread contender([&] {
-      const double dummy = 0.0;
-      while (!stop.load(std::memory_order_acquire)) {
-        contended->Append(&dummy, 0);  // no items: pure lock pressure
+    std::vector<std::thread> threads;
+    if (kind != EngineKind::kSharded) {
+      threads.emplace_back([&] {
+        const double dummy = 0.0;
+        while (!stop.load(std::memory_order_acquire)) {
+          contended->Append(&dummy, 0);  // no items: pure lock pressure
+        }
+      });
+    }
+    threads.emplace_back([&] {
+      const std::vector<double> points = {1e3, 5e5, 9.9e5};
+      for (uint64_t round = 0; !stop.load(std::memory_order_acquire);
+           ++round) {
+        // Queries throw the empty-state logic_error only before the first
+        // acknowledged batch.
+        const bool was_empty = contended->AcceptedN() == 0;
+        try {
+          contended->GetQuantiles({0.5, 0.99}, Criterion::kInclusive);
+          contended->GetRanks(points, Criterion::kExclusive);
+          contended->GetCDF(points, Criterion::kInclusive);
+        } catch (const std::logic_error&) {
+          EXPECT_TRUE(was_empty);
+        }
+        EXPECT_GT(contended->MemoryFootprint(), 0u);
+        EXPECT_FALSE(contended->Snapshot().empty());
+        if (round % 16 == 15) contended->TrimMemory();
       }
     });
     for (size_t i = 0; i < stream.size(); i += batch) {
       contended->Append(stream.data() + i, std::min(batch, stream.size() - i));
     }
     stop.store(true, std::memory_order_release);
-    contender.join();
+    for (std::thread& t : threads) t.join();
 
     EXPECT_EQ(contended->AcceptedN(), stream.size());
     EXPECT_EQ(contended->Snapshot(), serial->Snapshot());
+    EXPECT_EQ(contended->GetQuantiles({0.5, 0.99}, Criterion::kInclusive),
+              serial->GetQuantiles({0.5, 0.99}, Criterion::kInclusive));
   }
 }
 

@@ -1,8 +1,9 @@
 // SketchRegistry + engine tests: directory semantics (create/find/drop,
 // epoch-cached LIST snapshots), per-engine behavior -- including the
-// plain engine's bit-identical-to-in-process guarantee and the snapshot
-// blob format -- and a registry-level concurrency stress that the CI
-// ThreadSanitizer job runs.
+// plain engine's bit-identical-to-in-process guarantee, the snapshot
+// blob format, and every kind's live answers against a from-scratch
+// reference after each batch -- and a registry-level concurrency stress
+// that the CI ThreadSanitizer job runs.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -324,6 +325,76 @@ TEST(WindowedEngine, TracksWindowAndExpiresOldData) {
       SnapshotBlobPayload(blob));
   EXPECT_EQ(restored.n(), reference.n());
   EXPECT_EQ(restored.GetQuantile(0.5), reference.GetQuantile(0.5));
+}
+
+// --- every kind: live queries vs. a from-scratch reference ----------------
+
+// An engine answers from its live state: the plain sketch's incrementally
+// repaired sorted view, the window's and the shards' memoized merges. Each
+// answer must equal that of a reference built from scratch at the same
+// point -- the in-process structure deserialized from the engine's own
+// snapshot, never queried before.
+template <typename Reference>
+void ExpectSameAnswers(MetricEngine* engine, const Reference& reference,
+                       Criterion criterion) {
+  const std::vector<double> points = TestStream(5, 64);
+  const std::vector<double> splits = {1e3, 1e4, 1e5, 5e5, 9e5};
+  EXPECT_EQ(engine->GetQuantiles(kQs, criterion),
+            reference.GetQuantiles(kQs, criterion));
+  EXPECT_EQ(engine->GetRanks(points, criterion),
+            reference.GetRanks(points, criterion));
+  EXPECT_EQ(engine->GetCDF(splits, criterion),
+            reference.GetCDF(splits, criterion));
+}
+
+TEST(EngineQueries, InterleavedQueriesMatchFreshReferenceEveryKind) {
+  const std::vector<double> stream = TestStream(61, 30000);
+  for (EngineKind kind :
+       {EngineKind::kPlain, EngineKind::kSharded, EngineKind::kWindowed}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    MetricSpec spec;
+    spec.kind = kind;
+    spec.base.k_base = 16;
+    spec.num_shards = 3;
+    spec.num_buckets = 4;
+    spec.bucket_items = 2000;  // the stream rotates the window 14 times
+    SketchRegistry registry;
+    auto engine = registry.Create("m", spec);
+    size_t pos = 0;
+    size_t step = 1;
+    for (uint64_t batch = 0; pos < stream.size(); ++batch) {
+      // Ragged batches, one of them empty.
+      const size_t len =
+          (batch == 5) ? 0 : std::min(step, stream.size() - pos);
+      engine->Append(stream.data() + pos, len);
+      pos += len;
+      step = (step > 3000) ? 1 : step * 3 + 1;
+      SCOPED_TRACE(batch);
+      const Criterion criterion =
+          (batch % 2 == 0) ? Criterion::kInclusive : Criterion::kExclusive;
+      const std::vector<uint8_t> payload =
+          SnapshotBlobPayload(engine->Snapshot());
+      switch (kind) {
+        case EngineKind::kPlain:
+          ExpectSameAnswers(engine.get(), DeserializeSketch<double>(payload),
+                            criterion);
+          break;
+        case EngineKind::kSharded:
+          ExpectSameAnswers(
+              engine.get(),
+              concurrency::ShardedReqSketch<double>::Deserialize(payload),
+              criterion);
+          break;
+        case EngineKind::kWindowed:
+          ExpectSameAnswers(
+              engine.get(),
+              window::WindowedReqSketch<double>::Deserialize(payload),
+              criterion);
+          break;
+      }
+    }
+    EXPECT_EQ(engine->AcceptedN(), stream.size());
+  }
 }
 
 // --- concurrency stress (TSan target) --------------------------------------
