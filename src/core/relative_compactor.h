@@ -26,10 +26,16 @@
 // Hot-path structure: the buffer maintains a *sorted-prefix invariant* --
 // items [0, sorted_prefix_) are sorted ascending, everything after is the
 // unsorted insert tail. Every compaction leaves the surviving buffer fully
-// sorted, so between compactions the tail is only the items inserted since.
-// Sort() therefore sorts just the tail and runs std::inplace_merge
-// (O(u log u + B) for tail length u instead of O(B log B)), and CountRank
-// binary-searches the prefix and linearly scans only the tail.
+// sorted, so between compactions the tail is only the items inserted since,
+// and CountRank binary-searches the prefix and linearly scans only the
+// tail. A compaction is one fused kernel (CompactRange): it sorts a copy
+// of the tail alone (O(u log u) for tail length u), takes the compacted
+// items with a merge walk of compact_count steps from the compactible end
+// of prefix and tail, and then merges the surviving tail items into the
+// surviving prefix by moving whole prefix blocks once, straight to their
+// final offsets. The HRA survivors land at the front of the slot in the
+// same pass, so no orientation shifts the buffer a second time. Ties keep
+// prefix-before-tail order, i.e. the stable merge order.
 //
 // Storage: items live in a LevelArena slot, NOT in a per-compactor
 // std::vector. A standalone compactor (unit tests, ablation harnesses)
@@ -41,9 +47,7 @@
 // Change tracking: version() is a monotone counter bumped by every
 // content mutation (inserts, compactions, clear, restore). The sketch's
 // incremental sorted-view maintenance uses it to re-sort only the levels
-// that actually changed since the last view build. Sort() does NOT bump it:
-// sorting permutes equal-keyed storage order but never the summarized
-// multiset.
+// that actually changed since the last view build.
 #ifndef REQSKETCH_CORE_RELATIVE_COMPACTOR_H_
 #define REQSKETCH_CORE_RELATIVE_COMPACTOR_H_
 
@@ -393,21 +397,6 @@ class RelativeCompactor {
     ++version_;
   }
 
-  // Ensures the buffer is sorted ascending (queries that need order call
-  // this). Merge-based: only the insert tail is sorted from scratch, then
-  // merged with the already-sorted prefix -- O(u log u + B) for tail
-  // length u instead of the O(B log B) full sort.
-  void Sort() {
-    if (sorted_prefix_ == size()) return;
-    T* first = begin_mutable();
-    T* mid = first + sorted_prefix_;
-    T* last = first + size();
-    std::sort(mid, last, comp_);
-    if (sorted_prefix_ > 0) {
-      std::inplace_merge(first, mid, last, comp_);
-    }
-    sorted_prefix_ = size();
-  }
   bool sorted() const { return sorted_prefix_ == size(); }
   // Length of the sorted prefix (exposed for tests, diagnostics, and the
   // sorted-view builder's copy-and-merge fast path).
@@ -432,38 +421,110 @@ class RelativeCompactor {
     }
   }
 
-  // Compacts the `compact_count` items at the compactible end of the sorted
-  // buffer: removes them and appends every other one (random parity) to
-  // `*promoted`, in ascending order. LRA orientation compacts the largest
-  // items (the paper's pseudocode); HRA compacts the smallest, protecting
-  // the top of the distribution. Leaves the surviving buffer fully sorted.
+  // Compacts the `compact_count` items at the compactible end of the buffer
+  // (in sorted order): removes them and appends every other one (random
+  // parity) to `*promoted`, in ascending order. LRA orientation compacts
+  // the largest items (the paper's pseudocode); HRA compacts the smallest,
+  // protecting the top of the distribution. Leaves the surviving buffer
+  // fully sorted at the front of the slot, in exactly the order a stable
+  // merge of the sorted prefix with the sorted tail would give.
   void CompactRange(size_t compact_count, util::Xoshiro256& rng,
                     std::vector<T>* promoted) {
-    Sort();
-    compact_count = std::min(compact_count, size());
     const bool keep_odds = (coin_ == CoinMode::kDeterministic)
                                ? true
                                : rng.NextBit();
-    promoted->reserve(compact_count / 2 + 1);
     T* data = begin_mutable();
     const size_t n = size();
+    const size_t p = sorted_prefix_;
+    // The sorted tail lives outside the slot so the prefix can be moved
+    // over the tail's old positions. The buffer is per thread, so sketches
+    // compacting on different threads never share it; it keeps the
+    // capacity of the longest tail its thread has compacted.
+    static thread_local std::vector<T> tail;
+    tail.assign(std::make_move_iterator(data + p),
+                std::make_move_iterator(data + n));
+    T* sorted_tail = tail.data();
+    const size_t u = tail.size();
+    std::sort(sorted_tail, sorted_tail + u, comp_);
+    // compact_count is even: each pair of consecutive compacted items, in
+    // ascending order, promotes its odd (keep_odds) or even member.
+    promoted->resize(compact_count / 2);
+    T* out = promoted->data();
     if (accuracy_ == RankAccuracy::kLowRanks) {
-      // Compact the suffix [n - compact_count, n).
-      const size_t start = n - compact_count;
-      for (size_t i = start + (keep_odds ? 1 : 0); i < n; i += 2) {
-        promoted->push_back(std::move(data[i]));
+      // Walk down from the largest item; a tie takes the tail item first,
+      // since a stable merge places it after equal prefix items. The walk
+      // compacts data[i, p) and sorted_tail[j, u).
+      size_t i = p;
+      size_t j = u;
+      auto next_largest = [&]() -> T& {
+        if (j > 0 && (i == 0 || !comp_(sorted_tail[j - 1], data[i - 1]))) {
+          return sorted_tail[--j];
+        }
+        return data[--i];
+      };
+      for (size_t q = compact_count / 2; q-- > 0;) {
+        T& upper = next_largest();
+        T& lower = next_largest();
+        out[q] = std::move(keep_odds ? upper : lower);
       }
-      arena_->Truncate(slot_, start);
+      MergeSurvivors(data, 0, i, sorted_tail, j);
     } else {
-      // Compact the prefix [0, compact_count); mirror-image of LRA so the
-      // *largest* B/2 items are never touched.
-      for (size_t i = (keep_odds ? 1 : 0); i < compact_count; i += 2) {
-        promoted->push_back(std::move(data[i]));
+      // Walk up from the smallest item; a tie takes the prefix item first.
+      // The walk compacts data[0, i) and sorted_tail[0, j).
+      size_t i = 0;
+      size_t j = 0;
+      auto next_smallest = [&]() -> T& {
+        if (j < u && (i == p || comp_(sorted_tail[j], data[i]))) {
+          return sorted_tail[j++];
+        }
+        return data[i++];
+      };
+      for (size_t q = 0; q < compact_count / 2; ++q) {
+        T& lower = next_smallest();
+        T& upper = next_smallest();
+        out[q] = std::move(keep_odds ? upper : lower);
       }
-      arena_->EraseFront(slot_, compact_count);
+      MergeSurvivors(data, i, p, sorted_tail + j, u - j);
     }
+    tail.clear();
+    arena_->Truncate(slot_, n - compact_count);
     sorted_prefix_ = size();
     ++version_;
+  }
+
+  // Merges the sorted prefix survivors data[lo, hi) with the sorted tail
+  // survivors tail[0, m) into data[0, hi - lo + m), tail items after equal
+  // prefix items. Prefix block b -- the items with exactly b tail items
+  // before them -- moves by b - lo, so the blocks that move down form a
+  // leading run and the ones that move up a trailing run. Down-movers go
+  // first in ascending order, up-movers then in descending order, so no
+  // block overwrites one that has not moved yet; each tail item drops into
+  // the gap after its block. One linear walk finds the block boundaries.
+  void MergeSurvivors(T* data, size_t lo, size_t hi, T* tail, size_t m) {
+    size_t start = lo;  // first item of block b
+    size_t b = 0;
+    for (; b < lo && b <= m; ++b) {
+      size_t end = hi;
+      if (b < m) {
+        end = start;
+        while (end < hi && !comp_(tail[b], data[end])) ++end;
+      }
+      const size_t down = lo - b;
+      std::move(data + start, data + end, data + start - down);
+      if (b < m) data[end - down] = std::move(tail[b]);
+      start = end;
+    }
+    // Blocks b..m move up by (block - lo) >= 0; block lo stays put. The
+    // walk stops at `start`: items below it have already been moved.
+    size_t end = hi;  // one past block bb
+    for (size_t bb = m; bb > b; --bb) {
+      size_t first = end;
+      while (first > start && comp_(tail[bb - 1], data[first - 1])) --first;
+      const size_t up = bb - lo;
+      std::move_backward(data + first, data + end, data + end + up);
+      data[first + up - 1] = std::move(tail[bb - 1]);
+      end = first;
+    }
   }
 
   Compare comp_;

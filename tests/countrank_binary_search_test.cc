@@ -96,8 +96,9 @@ TEST(CountRankBinarySearchTest, MatchesBruteForceReversedComparator) {
 }
 
 // The sorted-prefix invariant itself: the prefix range is always sorted,
-// and appending an ascending run to a sorted buffer extends the prefix
-// (keeping sorted streams cheap) while a disordered append freezes it.
+// appending an ascending run to a sorted buffer extends the prefix
+// (keeping sorted streams cheap) while a disordered append freezes it, and
+// a compaction leaves the survivors fully sorted.
 TEST(CountRankBinarySearchTest, SortedPrefixInvariant) {
   RelativeCompactor<double> c(4, 4, RankAccuracy::kHighRanks,
                               SchedulePolicy::kExponential,
@@ -108,15 +109,20 @@ TEST(CountRankBinarySearchTest, SortedPrefixInvariant) {
   EXPECT_EQ(c.sorted_prefix(), 3u);
   c.Insert(7.0);  // still frozen: the tail is unsorted territory
   EXPECT_EQ(c.sorted_prefix(), 3u);
-  const auto& items = c.items();
+  for (double v : {5.0, 4.0, 6.0}) c.Insert(v);
+  EXPECT_EQ(c.sorted_prefix(), 3u);
+  const auto items = c.items();
   EXPECT_TRUE(std::is_sorted(items.begin(),
                              items.begin() + static_cast<ptrdiff_t>(
                                  c.sorted_prefix())));
-  c.Sort();
+  util::Xoshiro256 rng(1);
+  c.Compact(rng);  // one section: the four smallest, 0.5 1 2 3
+  const auto survivors = c.items();
   EXPECT_EQ(c.sorted_prefix(), c.size());
-  EXPECT_TRUE(std::is_sorted(items.begin(), items.end()));
-  EXPECT_EQ(c.CountRank(3.0, Criterion::kInclusive), 4u);
-  EXPECT_EQ(c.CountRank(3.0, Criterion::kExclusive), 3u);
+  EXPECT_EQ(std::vector<double>(survivors.begin(), survivors.end()),
+            (std::vector<double>{4.0, 5.0, 6.0, 7.0}));
+  EXPECT_EQ(c.CountRank(5.0, Criterion::kInclusive), 2u);
+  EXPECT_EQ(c.CountRank(5.0, Criterion::kExclusive), 1u);
 }
 
 // Restore (deserialization) recomputes the prefix from the data: a fully
