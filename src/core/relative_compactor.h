@@ -29,12 +29,15 @@
 // sorted, so between compactions the tail is only the items inserted since,
 // and CountRank binary-searches the prefix and linearly scans only the
 // tail. A compaction is one fused kernel (CompactRange): it sorts a copy
-// of the tail alone (O(u log u) for tail length u), takes the compacted
-// items with a merge walk of compact_count steps from the compactible end
-// of prefix and tail, and then merges the surviving tail items into the
-// surviving prefix by moving whole prefix blocks once, straight to their
-// final offsets. The HRA survivors land at the front of the slot in the
-// same pass, so no orientation shifts the buffer a second time. Ties keep
+// of the tail alone (O(u log u) for tail length u; core/tail_sort.h, a
+// branchless run-merge or sorting-network kernel for doubles), takes the
+// compacted items with a merge walk of compact_count steps from the
+// compactible end of prefix and tail, and then merges the surviving tail
+// items into the surviving prefix by moving whole prefix blocks once,
+// straight to their final offsets; each block boundary is found by
+// galloping, so the walk costs O(log) per block instead of its length.
+// The HRA survivors land at the front of the slot in the same pass, so no
+// orientation shifts the buffer a second time. Ties keep
 // prefix-before-tail order, i.e. the stable merge order.
 //
 // Storage: items live in a LevelArena slot, NOT in a per-compactor
@@ -61,6 +64,7 @@
 
 #include "core/level_arena.h"
 #include "core/req_common.h"
+#include "core/tail_sort.h"
 #include "util/bits.h"
 #include "util/random.h"
 #include "util/validation.h"
@@ -437,15 +441,16 @@ class RelativeCompactor {
     const size_t n = size();
     const size_t p = sorted_prefix_;
     // The sorted tail lives outside the slot so the prefix can be moved
-    // over the tail's old positions. The buffer is per thread, so sketches
-    // compacting on different threads never share it; it keeps the
-    // capacity of the longest tail its thread has compacted.
+    // over the tail's old positions, which serve the sort as scratch
+    // space. The buffer is per thread, so sketches compacting on different
+    // threads never share it; it keeps the capacity of the longest tail
+    // its thread has compacted.
     static thread_local std::vector<T> tail;
     tail.assign(std::make_move_iterator(data + p),
                 std::make_move_iterator(data + n));
     T* sorted_tail = tail.data();
     const size_t u = tail.size();
-    std::sort(sorted_tail, sorted_tail + u, comp_);
+    detail::SortTail(sorted_tail, u, data + p, comp_);
     // compact_count is even: each pair of consecutive compacted items, in
     // ascending order, promotes its odd (keep_odds) or even member.
     promoted->resize(compact_count / 2);
@@ -499,16 +504,14 @@ class RelativeCompactor {
   // leading run and the ones that move up a trailing run. Down-movers go
   // first in ascending order, up-movers then in descending order, so no
   // block overwrites one that has not moved yet; each tail item drops into
-  // the gap after its block. One linear walk finds the block boundaries.
+  // the gap after its block. Each block boundary is found by galloping
+  // from the side the walk comes from, so a short block costs a compare or
+  // two, as a linear walk would, and a long one a logarithmic search.
   void MergeSurvivors(T* data, size_t lo, size_t hi, T* tail, size_t m) {
     size_t start = lo;  // first item of block b
     size_t b = 0;
     for (; b < lo && b <= m; ++b) {
-      size_t end = hi;
-      if (b < m) {
-        end = start;
-        while (end < hi && !comp_(tail[b], data[end])) ++end;
-      }
+      const size_t end = b < m ? GallopForward(data, start, hi, tail[b]) : hi;
       const size_t down = lo - b;
       std::move(data + start, data + end, data + start - down);
       if (b < m) data[end - down] = std::move(tail[b]);
@@ -518,13 +521,43 @@ class RelativeCompactor {
     // walk stops at `start`: items below it have already been moved.
     size_t end = hi;  // one past block bb
     for (size_t bb = m; bb > b; --bb) {
-      size_t first = end;
-      while (first > start && comp_(tail[bb - 1], data[first - 1])) --first;
+      const size_t first = GallopBackward(data, start, end, tail[bb - 1]);
       const size_t up = bb - lo;
       std::move_backward(data + first, data + end, data + end + up);
       data[first + up - 1] = std::move(tail[bb - 1]);
       end = first;
     }
+  }
+
+  // First position in [first, last) whose item is greater than `key`, or
+  // `last`: probes first, first + 2, first + 6, ... and then binary-searches
+  // the last step.
+  size_t GallopForward(const T* data, size_t first, size_t last,
+                       const T& key) const {
+    size_t step = 1;  // data[first, lo) <= key
+    size_t lo = first;
+    while (step <= last - lo && !comp_(key, data[lo + step - 1])) {
+      lo += step;
+      step *= 2;
+    }
+    const size_t hi = lo + std::min(step - 1, last - lo);
+    return static_cast<size_t>(
+        std::upper_bound(data + lo, data + hi, key, comp_) - data);
+  }
+
+  // The same position, searched from `last` down: probes last - 1,
+  // last - 3, last - 7, ... and then binary-searches the last step.
+  size_t GallopBackward(const T* data, size_t first, size_t last,
+                        const T& key) const {
+    size_t step = 1;  // data[hi, last) > key
+    size_t hi = last;
+    while (step <= hi - first && comp_(key, data[hi - step])) {
+      hi -= step;
+      step *= 2;
+    }
+    const size_t lo = hi - std::min(step - 1, hi - first);
+    return static_cast<size_t>(
+        std::upper_bound(data + lo, data + hi, key, comp_) - data);
   }
 
   Compare comp_;

@@ -13,7 +13,11 @@
 //     file (sort the insert tail, stable std::inplace_merge with the
 //     sorted prefix, select every other compactible item, erase) and
 //     asserts equal promoted items, buffer contents, sorted prefix,
-//     schedule state and version bump.
+//     schedule state and version bump. Coverage counters check that the
+//     runs reach every tail-sort path (core/tail_sort.h) in both
+//     orientations.
+// (c) The tail sort itself, bitwise against std::sort at every size up to
+//     600 on random, reversed, all-equal, k-run and mixed-zero inputs.
 #include "core/relative_compactor.h"
 
 #include <gtest/gtest.h>
@@ -22,12 +26,14 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/req_common.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
+#include "core/tail_sort.h"
 #include "util/random.h"
 #include "workload/distributions.h"
 
@@ -284,6 +290,11 @@ struct Coverage {
   size_t extras = 0;
   size_t special = 0;
   size_t deterministic = 0;
+  // Tail-sort path taken, per orientation (index 0 HRA, 1 LRA). For
+  // doubles under std::less, std_sort counts the +-0 fallback.
+  size_t network[2] = {};
+  size_t run_merge[2] = {};
+  size_t std_sort[2] = {};
 };
 
 template <typename T, typename Compare, typename MakeItem>
@@ -319,6 +330,10 @@ void RunDifferential(uint64_t seed, const Compare& comp, MakeItem make_item,
 
       const bool special = plan.NextBounded(4) == 0;
       const size_t tail = c.size() - c.sorted_prefix();
+      const detail::TailSortPath path =
+          detail::PlanTailSort<T, Compare>(
+              c.items().begin() + c.sorted_prefix(), tail)
+              .path;
       util::Xoshiro256 coin_rng = rng;
       const bool keep_odds =
           coin == CoinMode::kDeterministic ? true : coin_rng.NextBit();
@@ -362,6 +377,10 @@ void RunDifferential(uint64_t seed, const Compare& comp, MakeItem make_item,
       coverage->extras += had_extras;
       coverage->special += special;
       coverage->deterministic += coin == CoinMode::kDeterministic;
+      const size_t side = acc == RankAccuracy::kLowRanks ? 1 : 0;
+      coverage->network[side] += path == detail::TailSortPath::kNetwork;
+      coverage->run_merge[side] += path == detail::TailSortPath::kRunMerge;
+      coverage->std_sort[side] += path == detail::TailSortPath::kStdSort;
     }
   }
 }
@@ -388,6 +407,38 @@ TEST(CompactorKernelDifferentialTest, DoublesWithSignedZeroTies) {
     RunDifferential<double>(seed, std::less<double>(), make_item, &coverage);
   }
   ExpectFullCoverage(coverage);
+}
+
+// Doubles under std::less, the branchless tail sort's domain: continuous
+// values, +-inf, denormals, exact repeats, and zeros that are mostly +0.0
+// with the odd -0.0, so most tails hold one sign of zero (sorted by the
+// branchless kernel) and some hold both (the std::sort fallback).
+TEST(CompactorKernelDifferentialTest, DoublesBranchlessTailSort) {
+  auto make_item = [](util::Xoshiro256& rng) {
+    static const double kRepeats[] = {1.5, -2.25, 1e-300, 7.0};
+    const uint64_t r = rng.NextBounded(16);
+    if (r < 6) return (rng.NextDouble() * 2.0 - 1.0) * 1e3;
+    if (r == 6) return std::numeric_limits<double>::infinity();
+    if (r == 7) return -std::numeric_limits<double>::infinity();
+    if (r == 8) {
+      const double denormal = std::numeric_limits<double>::denorm_min() *
+                              static_cast<double>(1 + rng.NextBounded(1000));
+      return rng.NextBit() ? denormal : -denormal;
+    }
+    if (r < 13) return kRepeats[rng.NextBounded(4)];
+    return rng.NextBounded(8) == 0 ? -0.0 : 0.0;
+  };
+  Coverage coverage;
+  for (uint64_t seed : {9u, 10u, 11u, 12u}) {
+    RunDifferential<double>(seed, std::less<double>(), make_item, &coverage);
+  }
+  ExpectFullCoverage(coverage);
+  for (size_t side = 0; side < 2; ++side) {
+    SCOPED_TRACE(testing::Message() << "orientation " << side);
+    EXPECT_GT(coverage.network[side], 0u);
+    EXPECT_GT(coverage.run_merge[side], 0u);
+    EXPECT_GT(coverage.std_sort[side], 0u);  // only +-0 tails take it
+  }
 }
 
 // Continuous values under a reversed comparator: no ties, every position
@@ -422,6 +473,109 @@ TEST(CompactorKernelDifferentialTest, StringsWithCoarseComparator) {
     RunDifferential<std::string>(seed, FirstCharLess(), make_item, &coverage);
   }
   ExpectFullCoverage(coverage);
+}
+
+// --- (c) the tail sort -------------------------------------------------------
+
+// Sorts a copy of `input` with SortTail and with std::sort and compares
+// the bytes; returns the path SortTail took.
+detail::TailSortPath ExpectSortsLikeStdSort(const std::vector<double>& input) {
+  std::vector<double> got = input;
+  std::vector<double> want = input;
+  // Scratch is poisoned so any read of an unwritten slot shows up.
+  std::vector<double> scratch(input.size(), -123.0);
+  const detail::TailSortPath path =
+      detail::PlanTailSort<double, std::less<double>>(got.data(), got.size())
+          .path;
+  detail::SortTail(got.data(), got.size(), scratch.data(),
+                   std::less<double>());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(Bits(got), Bits(want));
+  return path;
+}
+
+TEST(TailSortTest, MatchesStdSortBitwiseAtEverySize) {
+  util::Xoshiro256 rng(29);
+  for (size_t n = 0; n <= 600; ++n) {
+    SCOPED_TRACE(testing::Message() << "n " << n);
+    std::vector<double> random(n);
+    for (double& v : random) v = rng.NextDouble() * 100.0 - 50.0;
+    const detail::TailSortPath random_path = ExpectSortsLikeStdSort(random);
+    if (n >= 16) {
+      EXPECT_EQ(random_path, detail::TailSortPath::kNetwork);
+    }
+
+    std::vector<double> reversed = random;
+    std::sort(reversed.begin(), reversed.end(), std::greater<double>());
+    const detail::TailSortPath reversed_path = ExpectSortsLikeStdSort(reversed);
+    if (n > detail::kMaxTailRuns) {
+      EXPECT_EQ(reversed_path, detail::TailSortPath::kNetwork);
+    }
+
+    EXPECT_EQ(ExpectSortsLikeStdSort(std::vector<double>(n, 3.25)),
+              detail::TailSortPath::kRunMerge);
+
+    // 1..6 ascending runs of random lengths: up to kMaxTailRuns merge
+    // directly, more go through the network.
+    for (size_t runs = 1; runs <= 6 && runs <= n; ++runs) {
+      std::vector<double> k_run = random;
+      std::vector<size_t> cuts = {0, n};
+      for (size_t r = 1; r < runs; ++r) cuts.push_back(rng.NextBounded(n));
+      std::sort(cuts.begin(), cuts.end());
+      for (size_t r = 0; r + 1 < cuts.size(); ++r) {
+        std::sort(k_run.begin() + static_cast<ptrdiff_t>(cuts[r]),
+                  k_run.begin() + static_cast<ptrdiff_t>(cuts[r + 1]));
+      }
+      const detail::TailSortPath path = ExpectSortsLikeStdSort(k_run);
+      if (runs <= detail::kMaxTailRuns) {
+        EXPECT_EQ(path, detail::TailSortPath::kRunMerge);
+      }
+    }
+
+    // Both zeros among other ties: std::sort decides the zeros' order.
+    std::vector<double> zeros(n);
+    bool negative_zero = false;
+    bool positive_zero = false;
+    for (double& v : zeros) {
+      const uint64_t r = rng.NextBounded(4);
+      v = r == 0 ? -0.0 : r == 1 ? 0.0 : static_cast<double>(r) - 2.5;
+      negative_zero |= r == 0;
+      positive_zero |= r == 1;
+    }
+    const detail::TailSortPath zeros_path = ExpectSortsLikeStdSort(zeros);
+    EXPECT_EQ(zeros_path == detail::TailSortPath::kStdSort,
+              negative_zero && positive_zero);
+  }
+}
+
+TEST(TailSortTest, NetworkSortsEveryZeroOneInput) {
+  // The 0-1 principle: a comparator network that sorts every 0/1 input
+  // sorts every input. Sizes up to 16 cover one block, a padded block and
+  // the first merge round.
+  for (size_t n = 1; n <= 16; ++n) {
+    for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+      std::vector<double> v(n);
+      for (size_t i = 0; i < n; ++i) v[i] = (mask >> i) & 1u;
+      const auto ones = std::count(v.begin(), v.end(), 1.0);
+      std::vector<double> scratch(n);
+      detail::NetworkSort(v.data(), n, scratch.data());
+      ASSERT_TRUE(std::is_sorted(v.begin(), v.end())) << n << " " << mask;
+      ASSERT_EQ(std::count(v.begin(), v.end(), 1.0), ones);
+    }
+  }
+}
+
+// Other item types and comparators keep std::sort.
+TEST(TailSortTest, OtherTypesAndComparatorsUseStdSort) {
+  const double values[] = {3.0, 1.0, 2.0};
+  EXPECT_EQ((detail::PlanTailSort<double, std::greater<double>>(values, 3)
+                 .path),
+            detail::TailSortPath::kStdSort);
+  const std::string words[] = {"b", "a"};
+  EXPECT_EQ((detail::PlanTailSort<std::string, std::less<std::string>>(words,
+                                                                        2)
+                 .path),
+            detail::TailSortPath::kStdSort);
 }
 
 }  // namespace
