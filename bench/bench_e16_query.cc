@@ -1,22 +1,27 @@
-// E16 -- Query-engine benchmarks: incremental sorted-view maintenance,
-// weight-indexed bulk-rank kernels, and contiguous (arena) level storage.
+// E16 -- Query-engine benchmarks: the memoized sorted view (built from
+// the levels, repaired in place after level-0 appends), weight-indexed
+// bulk-rank kernels, and contiguous (arena) level storage.
 //
-// Quantifies each layer of the query-engine overhaul, for k_base in
+// Quantifies each layer of the query engine, for k_base in
 // {16, 64, 256} on a lognormal stream:
-//   * cold view build (first order-based query after a bulk ingest), for
-//     the incremental engine and for the seed-era full path
+//   * cold view build (first order-based query after a bulk ingest): the
+//     sketch's full build -- one k-way merge of the levels' sorted
+//     prefixes and sorted tails -- and the seed-era full path
 //     (FullRebuildView: collect + sort all pairs);
 //   * WARM REPEATED SINGLE-RANK QUERIES AFTER POINT UPDATES -- the
 //     monitoring hot loop {update one item; query one rank through the
-//     view}. Incremental repair re-sorts only the dirtied level (usually
-//     level 0) and re-merges, versus a full rebuild per query;
+//     view}. The sketch merges the one new level-0 item into its view in
+//     place (a full build when the update compacted), versus a seed-era
+//     full rebuild per query;
 //   * BULK GetRanks: 1k query points answered by the single co-scan
 //     kernel, versus the seed-era scalar loop (one GetRank per point) and
 //     versus a per-point view binary search;
 //   * GetCDF over 1k ascending splits (the sort-free co-scan case);
 //   * serialization of the whole sketch (one contiguous arena pass);
-//   * sliding-window post-rotation query cost (merged-view rebuild from
-//     per-bucket sorted runs) and warm window rank latency.
+//   * sliding-window post-rotation query cost (the N-way merge of the
+//     buckets into a fresh sketch, then one rank query, which reads the
+//     merged levels and builds no sorted view) and warm window rank
+//     latency.
 //
 // Results go to stdout as a table and to a JSON report (default
 // BENCH_e16_query.json) validated by tools/check_bench_schema.py.
@@ -265,8 +270,9 @@ int main(int argc, char** argv) {
         res.cdf_1k_us, res.serialize_us);
   }
 
-  // Sliding window: post-rotation cold query (merged rebuild from
-  // per-bucket runs) and warm rank latency.
+  // Sliding window: post-rotation cold query (the buckets' N-way merge;
+  // GetRank reads the merged levels, not a sorted view) and warm rank
+  // latency.
   std::vector<WindowResult> window_results;
   std::printf("\n%6s %8s %20s %14s\n", "k", "buckets", "post_rotate_us",
               "warm_rank_ns");

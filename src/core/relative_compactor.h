@@ -49,8 +49,9 @@
 //
 // Change tracking: version() is a monotone counter bumped by every
 // content mutation (inserts, compactions, clear, restore). The sketch's
-// incremental sorted-view maintenance uses it to re-sort only the levels
-// that actually changed since the last view build.
+// sorted view uses it to tell that no level above 0 changed since the
+// last view build, in which case appends to level 0 are merged into the
+// view in place.
 #ifndef REQSKETCH_CORE_RELATIVE_COMPACTOR_H_
 #define REQSKETCH_CORE_RELATIVE_COMPACTOR_H_
 
@@ -403,7 +404,8 @@ class RelativeCompactor {
 
   bool sorted() const { return sorted_prefix_ == size(); }
   // Length of the sorted prefix (exposed for tests, diagnostics, and the
-  // sorted-view builder's copy-and-merge fast path).
+  // sorted-view build, which reads the prefix in place and sorts only a
+  // copy of the tail).
   size_t sorted_prefix() const { return sorted_prefix_; }
 
  private:

@@ -221,9 +221,8 @@ class ReqChain {
         }
         MergeWeightedRuns(closed_items_.data(), closed_weights_.data(),
                           closed_items_.size(), run_items.data(),
-                          run_weights.data(), uint64_t{0},
-                          run_items.size(), &scratch_items_,
-                          &scratch_weights_, comp_);
+                          run_weights.data(), run_items.size(),
+                          &scratch_items_, &scratch_weights_, comp_);
         std::swap(closed_items_, scratch_items_);
         std::swap(closed_weights_, scratch_weights_);
       }

@@ -32,14 +32,24 @@
 // type T must be default-constructible and copy/move-assignable (see the
 // requirements note in core/level_arena.h).
 //
-// Query engine: order-based queries go through a memoized sorted view that
-// is maintained *incrementally*: the cache keeps a sorted run per level
-// (stamped with the level's content version) plus a merged run of all
-// levels >= 1, and a rebuild after an update re-sorts only the levels that
-// actually changed -- usually just level 0, an O(dirty) repair instead of
-// an O(R log R) rebuild. The seed-era full path (collect + sort all
-// weighted pairs via AppendWeightedItems) lives on in the equivalence test
-// and the E16 bench as the reference baseline.
+// Query engine: order-based queries go through a memoized sorted view,
+// built straight from the levels and kept beside nothing but the view's
+// own arrays:
+//   * Full build: each level's sorted prefix is read in place and its
+//     insert tail is copied to a per-thread buffer and sorted; one k-way
+//     merge over these runs (levels 1..H-1, then level 0; the earlier run
+//     wins ties, a level's prefix before its tail) writes the items and
+//     cumulative weights into the view. O(R log H) for R retained items.
+//   * Level-0 append repair: when the only change since the last build is
+//     items appended to level 0 -- no compaction, same level count, upper
+//     levels at the same versions -- just the new items are sorted and
+//     merged into the view from the back, after equal entries. This is
+//     the monitoring loop {append a few items; query}.
+// Both give the same view for the same level contents, whatever the query
+// history (the repair falls back to a full build whenever a tie could land
+// differently; see RepairAppendLocked). The seed-era full path (collect +
+// sort all weighted pairs via AppendWeightedItems) lives on in the
+// equivalence test and the E16 bench as the reference baseline.
 //
 // Thread safety: any number of threads may run const query methods
 // concurrently on a shared sketch (the lazily memoized sorted view is
@@ -74,6 +84,7 @@
 #include "core/relative_compactor.h"
 #include "core/req_common.h"
 #include "core/sorted_view.h"
+#include "core/tail_sort.h"
 #include "util/random.h"
 #include "util/validation.h"
 
@@ -105,6 +116,16 @@ struct CopyableMutex {
   CopyableMutex(const CopyableMutex&) {}
   CopyableMutex& operator=(const CopyableMutex&) { return *this; }
 };
+
+// True when items that compare equal under Compare are identical, so the
+// place a tie takes in the sorted view cannot change the view: arithmetic
+// items under std::less or std::greater, apart from the floating-point
+// zeros -0.0 and +0.0, which the view repair checks for itself.
+template <typename T, typename Compare>
+constexpr bool kEqualItemsAreIdentical =
+    std::is_arithmetic<T>::value &&
+    (std::is_same<Compare, std::less<T>>::value ||
+     std::is_same<Compare, std::greater<T>>::value);
 
 }  // namespace detail
 
@@ -245,28 +266,19 @@ class ReqSketch {
 
   // Resident heap footprint of the sketch in bytes: object header, arena
   // storage at capacity, level table, promotion scratch, and the memoized
-  // view cache (runs, upper-run, merge scratch, published view). This is
-  // the figure quota accounting charges per metric, so it counts what the
-  // allocator holds, not just live items. Takes the view lock briefly so a
-  // concurrent view rebuild cannot race the cache walk.
+  // view's two arrays (the view build keeps nothing else per sketch; its
+  // tail buffer is per thread). This is the figure quota accounting
+  // charges per metric, so it counts what the allocator holds, not just
+  // live items. Takes the view lock briefly so a concurrent view build
+  // cannot race the read.
   size_t MemoryBytes() const {
     size_t bytes = sizeof(*this) + arena_.AllocatedBytes() +
                    levels_.capacity() * sizeof(Level) +
                    promote_scratch_.capacity() * sizeof(T);
     std::lock_guard<std::mutex> lock(view_mutex_.mutex);
-    const ViewCacheState& c = view_cache_;
-    bytes += c.runs.capacity() * sizeof(std::vector<T>);
-    for (const std::vector<T>& run : c.runs) {
-      bytes += run.capacity() * sizeof(T);
-    }
-    bytes += c.run_versions.capacity() * sizeof(uint64_t);
-    bytes += c.run_valid.capacity() * sizeof(char);
-    bytes += c.upper_items.capacity() * sizeof(T);
-    bytes += c.upper_weights.capacity() * sizeof(uint64_t);
-    bytes += c.scratch_items.capacity() * sizeof(T);
-    bytes += c.scratch_weights.capacity() * sizeof(uint64_t);
-    bytes += c.view.items().capacity() * sizeof(T);
-    bytes += c.view.cum_weights().capacity() * sizeof(uint64_t);
+    const SortedView<T, Compare>& view = view_cache_.view;
+    bytes += view.items().capacity() * sizeof(T);
+    bytes += view.cum_weights().capacity() * sizeof(uint64_t);
     return bytes;
   }
 
@@ -401,7 +413,7 @@ class ReqSketch {
     min_item_.reset();
     max_item_.reset();
     // Full view-cache teardown (not just invalidation): freshly created
-    // upper levels restart their version counters, so stale cached runs
+    // upper levels restart their version counters, so the cache's stamps
     // could otherwise alias a new level's early versions.
     ResetViewCache();
   }
@@ -661,8 +673,8 @@ class ReqSketch {
   }
 
   // The memoized sorted view of the sketch contents. Built lazily on first
-  // use and repaired incrementally after mutations; the reference stays
-  // valid until the next mutation.
+  // use, rebuilt or repaired after mutations; the reference stays valid
+  // until the next mutation.
   //
   // Filling the cache is guarded by a double-checked atomic flag plus a
   // lock, so any number of threads may call this (and the order-based
@@ -729,147 +741,139 @@ class ReqSketch {
   // (copies travel with the sketch); access is serialized by view_mutex_
   // plus the view_ready_ publication flag.
   struct ViewCacheState {
-    // Sorted copy of each level's buffer, stamped with the level's content
-    // version at copy time. A rebuild re-sorts only stale runs.
-    std::vector<std::vector<T>> runs;
-    std::vector<uint64_t> run_versions;
-    std::vector<char> run_valid;
-    // Merged run of all levels >= 1 (items + per-entry weights). Level 0
-    // churns on every update; the upper run survives until a compaction
-    // cascade actually touches a higher level.
-    std::vector<T> upper_items;
-    std::vector<uint64_t> upper_weights;
-    size_t upper_levels = 0;  // level count the upper run was built for
-    bool upper_valid = false;
-    // Merge scratch, reused across rebuilds.
-    std::vector<T> scratch_items;
-    std::vector<uint64_t> scratch_weights;
-    // The published view; rebuilt in place (AssignMerged) so its arrays'
-    // capacity is reused across repairs.
+    // The published view; rebuilt or repaired in place, so its arrays'
+    // capacity is reused.
     SortedView<T, Compare> view;
+    // What the view was built from, for the level-0 append repair: the
+    // level count (0 = no view yet), the sum of the versions of levels
+    // >= 1 (versions only grow, so the sum moves when any of them
+    // changes), and level 0's size and compaction count.
+    size_t num_levels = 0;
+    uint64_t upper_versions = 0;
+    size_t level0_size = 0;
+    uint64_t level0_compactions = 0;
   };
 
   void RebindLevels() {
     for (Level& level : levels_) level.RebindArena(&arena_);
   }
 
-  // Drops the memoized view but keeps the cached runs for incremental
-  // repair. Mutators run with exclusive access (no concurrent readers by
-  // contract), so plain stores suffice.
+  // Marks the memoized view stale; the next order-based query repairs or
+  // rebuilds it. Mutators run with exclusive access (no concurrent readers
+  // by contract), so plain stores suffice.
   void InvalidateView() {
     view_ready_.value.store(false, std::memory_order_release);
   }
 
   // Full cache teardown: used when level *objects* are replaced (Reset,
   // deserialization), where a fresh level's restarted version counter
-  // could alias a stale cached run.
+  // could alias a stale stamp, and by TrimMemory to free the view.
   void ResetViewCache() {
     view_ready_.value.store(false, std::memory_order_release);
     view_cache_ = ViewCacheState();
     view_cache_.view = SortedView<T, Compare>(comp_);
   }
 
-  // (Re)builds the published view; called under view_mutex_.
+  uint64_t UpperVersions() const {
+    uint64_t sum = 0;
+    for (size_t h = 1; h < levels_.size(); ++h) sum += levels_[h].version();
+    return sum;
+  }
+
+  // Brings the published view up to date; called under view_mutex_.
   void RebuildViewLocked() const {
     ViewCacheState& c = view_cache_;
-    const size_t num_levels = levels_.size();
-    if (c.runs.size() != num_levels) {
-      c.runs.resize(num_levels);
-      c.run_versions.resize(num_levels, 0);
-      c.run_valid.resize(num_levels, 0);
-      c.upper_valid = false;
+    const Level& level0 = levels_[0];
+    const uint64_t upper_versions = UpperVersions();
+    const bool appended_only =
+        c.num_levels == levels_.size() &&
+        c.upper_versions == upper_versions &&
+        c.level0_compactions == level0.num_compactions() &&
+        c.level0_size <= level0.size();
+    // Until the view is whole again, no stamp may vouch for it: a build
+    // that throws leaves the next query a full build.
+    c.num_levels = 0;
+    if (!appended_only || !RepairAppendLocked(c.level0_size)) {
+      BuildViewLocked();
     }
-    bool upper_dirty = !c.upper_valid || c.upper_levels != num_levels;
-    for (size_t h = 0; h < num_levels; ++h) {
-      if (c.run_valid[h] && c.run_versions[h] == levels_[h].version()) {
-        continue;
-      }
-      RefreshRun(h);
-      c.run_versions[h] = levels_[h].version();
-      c.run_valid[h] = 1;
-      if (h >= 1) upper_dirty = true;
-    }
-    if (upper_dirty) RebuildUpperRun();
-    const std::vector<T>& run0 = c.runs[0];
-    c.view.AssignMerged(c.upper_items.data(), c.upper_weights.data(),
-                        c.upper_items.size(), run0.data(), run0.size(),
-                        /*b_weight=*/1, TotalWeight());
+    c.num_levels = levels_.size();
+    c.upper_versions = upper_versions;
+    c.level0_size = level0.size();
+    c.level0_compactions = level0.num_compactions();
   }
 
-  // Copies level h's buffer into its cached run and sorts the copy.
-  // Adaptive: the copy inherits the buffer's sorted prefix, and the tail
-  // is segmented into natural ascending runs -- long runs (sorted source
-  // buffers concatenated by a merge) are kept and merged, only short
-  // random stretches are actually sorted. So a level made of already
-  // sorted pieces is never re-sorted from scratch.
-  void RefreshRun(size_t h) const {
-    const Level& level = levels_[h];
-    std::vector<T>& run = view_cache_.runs[h];
-    const ItemSpan<T> span = level.items();
-    run.assign(span.begin(), span.end());
-    SortCopiedRun(&run, std::min(level.sorted_prefix(), run.size()));
+  // Per-thread scratch of the view build: the levels' sorted tails, plus
+  // room for SortTail's merges. Concurrent cold readers of one sketch
+  // serialize on view_mutex_, and readers of different sketches on
+  // different threads never share it; it keeps the capacity of the
+  // largest build its thread has made.
+  static std::vector<T>& ViewScratch() {
+    static thread_local std::vector<T> scratch;
+    return scratch;
   }
 
-  void SortCopiedRun(std::vector<T>* run_ptr, size_t prefix) const {
-    std::vector<T>& run = *run_ptr;
-    const size_t n = run.size();
-    if (prefix >= n) return;
-    constexpr size_t kMinRun = 32;
-    // Contiguous sorted segments [start, end), built left to right.
-    std::vector<std::pair<size_t, size_t>> segs;
-    if (prefix > 0) segs.emplace_back(0, prefix);
-    size_t start = prefix;
-    while (start < n) {
-      size_t end = start + 1;
-      while (end < n && !comp_(run[end], run[end - 1])) ++end;
-      if (end - start < kMinRun) {
-        // Coalesce short natural runs into one block and sort it.
-        end = std::min(n, std::max(end, start + kMinRun));
-        std::sort(run.begin() + static_cast<ptrdiff_t>(start),
-                  run.begin() + static_cast<ptrdiff_t>(end), comp_);
-      }
-      segs.emplace_back(start, end);
-      start = end;
+  // Full build: one k-way merge of every level's sorted prefix (in place)
+  // and sorted insert tail (copied), straight into the view's arrays.
+  void BuildViewLocked() const {
+    std::vector<T>& scratch = ViewScratch();
+    size_t tails = 0;
+    size_t longest = 0;
+    for (const Level& level : levels_) {
+      const size_t u = level.size() - level.sorted_prefix();
+      tails += u;
+      longest = std::max(longest, u);
     }
-    // Bottom-up pairwise merging of adjacent segments.
-    while (segs.size() > 1) {
-      size_t out = 0;
-      for (size_t i = 0; i + 1 < segs.size(); i += 2) {
-        std::inplace_merge(
-            run.begin() + static_cast<ptrdiff_t>(segs[i].first),
-            run.begin() + static_cast<ptrdiff_t>(segs[i].second),
-            run.begin() + static_cast<ptrdiff_t>(segs[i + 1].second),
-            comp_);
-        segs[out++] = {segs[i].first, segs[i + 1].second};
-      }
-      if (segs.size() % 2 != 0) segs[out++] = segs.back();
-      segs.resize(out);
-    }
-  }
-
-  // Merges the cached runs of all levels >= 1 into one weighted run.
-  void RebuildUpperRun() const {
-    ViewCacheState& c = view_cache_;
-    c.upper_items.clear();
-    c.upper_weights.clear();
-    for (size_t h = 1; h < levels_.size(); ++h) {
-      const std::vector<T>& run = c.runs[h];
-      if (run.empty()) continue;
+    scratch.resize(tails + longest);
+    T* tail = scratch.data();
+    T* sort_scratch = scratch.data() + tails;
+    // Levels 1..H-1, then level 0; each level's prefix, then its tail.
+    std::vector<UniformRun<T>> runs;
+    runs.reserve(2 * levels_.size());
+    for (size_t i = 1; i <= levels_.size(); ++i) {
+      const size_t h = i % levels_.size();
+      const Level& level = levels_[h];
+      const ItemSpan<T> items = level.items();
+      const size_t p = level.sorted_prefix();
       const uint64_t weight = uint64_t{1} << h;
-      if (c.upper_items.empty()) {
-        c.upper_items.assign(run.begin(), run.end());
-        c.upper_weights.assign(run.size(), weight);
-        continue;
-      }
-      MergeWeightedRuns(c.upper_items.data(), c.upper_weights.data(),
-                        c.upper_items.size(), run.data(), nullptr, weight,
-                        run.size(), &c.scratch_items, &c.scratch_weights,
-                        comp_);
-      std::swap(c.upper_items, c.scratch_items);
-      std::swap(c.upper_weights, c.scratch_weights);
+      runs.push_back({items.begin(), p, weight});
+      std::copy(items.begin() + p, items.end(), tail);
+      detail::SortTail(tail, items.size() - p, sort_scratch, comp_);
+      runs.push_back({tail, items.size() - p, weight});
+      tail += items.size() - p;
     }
-    c.upper_levels = levels_.size();
-    c.upper_valid = true;
+    view_cache_.view.AssignRuns(runs.data(), runs.size(), TotalWeight());
+  }
+
+  // Level-0 append repair: merges level 0's items [from, size) into the
+  // view, which was built when level 0 held `from` items and nothing else
+  // has changed since. A new item lands after the entries equal to it,
+  // which is where a full build puts it as long as equal items are
+  // identical. So the repair declines (returns false, view untouched) for
+  // item types where equal items may differ, and when a floating-point
+  // zero is among the new items or in level 0's insert tail: a full build
+  // sorts a tail holding -0.0 and +0.0 with std::sort, which may order the
+  // two zeros differently once other items join the tail.
+  bool RepairAppendLocked(size_t from) const {
+    if constexpr (!detail::kEqualItemsAreIdentical<T, Compare>) {
+      static_cast<void>(from);
+      return false;
+    } else {
+      const Level& level0 = levels_[0];
+      const ItemSpan<T> items = level0.items();
+      const size_t m = items.size() - from;
+      if constexpr (std::is_floating_point_v<T>) {
+        const size_t first = std::min(from, level0.sorted_prefix());
+        for (size_t i = first; i < items.size(); ++i) {
+          if (items[i] == T(0)) return false;
+        }
+      }
+      std::vector<T>& scratch = ViewScratch();
+      scratch.resize(2 * m);
+      std::copy(items.begin() + from, items.end(), scratch.data());
+      detail::SortTail(scratch.data(), m, scratch.data() + m, comp_);
+      view_cache_.view.InsertSorted(scratch.data(), m, /*weight=*/1);
+      return true;
+    }
   }
 
   Level MakeLevel() {
@@ -980,7 +984,7 @@ class ReqSketch {
   // steady-state update path performs no allocations.
   std::vector<T> promote_scratch_;
   // Memoized sorted view for order-based queries; invalidated by
-  // Update/Merge, repaired incrementally on the next order-based query.
+  // Update/Merge, repaired or rebuilt on the next order-based query.
   // view_ready_ is the double-checked publication flag: readers acquire-load
   // it and only touch view_cache_ once it is true; the fill runs under
   // view_mutex_ so concurrent cold readers build the view exactly once.

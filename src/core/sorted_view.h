@@ -12,10 +12,15 @@
 // Construction paths:
 //   * from unsorted (item, weight) pairs -- O(S log S) sort; the original
 //     path, kept for aggregators and as the seed-era reference.
-//   * AssignMerged: in-place rebuild from two already-sorted runs (the
-//     merged upper-level run and the level-0 run), reusing the arrays'
-//     capacity -- the O(dirty) incremental-repair path driven by
-//     ReqSketch's view cache.
+//   * AssignRuns: in-place rebuild by one k-way merge of sorted runs that
+//     each carry a single weight -- ReqSketch's full build, whose runs are
+//     the levels' sorted prefixes (read in place) and sorted insert tails.
+//   * InsertSorted: in-place repair that merges a few sorted items into
+//     the view from the back -- ReqSketch's repair after items were only
+//     appended to level 0.
+//   * AssignMergedWeighted: in-place rebuild from two sorted runs with
+//     per-entry weights -- the Section 5 chain's combined view.
+// The in-place paths reuse the arrays' capacity.
 //
 // Query kernels:
 //   * GetRank / GetQuantile: one binary search each.
@@ -43,17 +48,13 @@
 namespace req {
 
 // Merges two sorted weighted runs into out_items/out_weights (cleared
-// first; ties go to run A). Run B's entry weights come from b_weights
-// when non-null, else uniformly b_uniform_weight. Shared by the sketch's
-// upper-level run maintenance and the chain's closed-run folding so the
-// tie-breaking and weight handling cannot drift apart;
-// SortedView::AssignMerged* fuses the same loop with the cumulative-
-// weight pass for the published view.
+// first; ties go to run A). Used by the chain's closed-run folding;
+// SortedView::AssignMergedWeighted fuses the same loop with the
+// cumulative-weight pass for the published view.
 template <typename T, typename Compare>
 void MergeWeightedRuns(const T* a_items, const uint64_t* a_weights,
                        size_t a_n, const T* b_items,
-                       const uint64_t* b_weights,
-                       uint64_t b_uniform_weight, size_t b_n,
+                       const uint64_t* b_weights, size_t b_n,
                        std::vector<T>* out_items,
                        std::vector<uint64_t>* out_weights,
                        const Compare& comp) {
@@ -61,14 +62,11 @@ void MergeWeightedRuns(const T* a_items, const uint64_t* a_weights,
   out_weights->clear();
   out_items->reserve(a_n + b_n);
   out_weights->reserve(a_n + b_n);
-  const auto b_weight = [&](size_t j) {
-    return b_weights != nullptr ? b_weights[j] : b_uniform_weight;
-  };
   size_t i = 0, j = 0;
   while (i < a_n && j < b_n) {
     if (comp(b_items[j], a_items[i])) {
       out_items->push_back(b_items[j]);
-      out_weights->push_back(b_weight(j));
+      out_weights->push_back(b_weights[j]);
       ++j;
     } else {
       out_items->push_back(a_items[i]);
@@ -82,9 +80,18 @@ void MergeWeightedRuns(const T* a_items, const uint64_t* a_weights,
   }
   for (; j < b_n; ++j) {
     out_items->push_back(b_items[j]);
-    out_weights->push_back(b_weight(j));
+    out_weights->push_back(b_weights[j]);
   }
 }
+
+// A sorted run whose entries all carry `weight`: the unit
+// SortedView::AssignRuns merges.
+template <typename T>
+struct UniformRun {
+  const T* items = nullptr;
+  size_t size = 0;
+  uint64_t weight = 0;
+};
 
 template <typename T, typename Compare = std::less<T>>
 class SortedView {
@@ -112,33 +119,141 @@ class SortedView {
                      "sorted view weight mismatch: sketch corrupted");
   }
 
-  // Empty shell for in-place (re)builds via AssignMerged; queries are only
-  // legal after a successful assignment. Used by the memoized view cache
-  // so repeated repairs reuse the arrays' heap capacity.
+  // Empty shell for the in-place builds below; queries are only legal
+  // after a successful assignment. Used by the memoized view caches so
+  // repeated builds reuse the arrays' heap capacity.
   explicit SortedView(Compare comp = Compare())
       : comp_(std::move(comp)), total_weight_(0) {}
 
-  // In-place rebuild by merging two sorted runs:
-  //   run A: upper levels, per-entry weights in a_weights (already > 0),
-  //   run B: level 0, every entry with weight b_weight.
-  // Either run may be empty (but not both). Reuses items_/cum_weights_
-  // capacity; O(|A| + |B|).
-  void AssignMerged(const T* a_items, const uint64_t* a_weights, size_t a_n,
-                    const T* b_items, size_t b_n, uint64_t b_weight,
-                    uint64_t total_weight) {
-    AssignMergedImpl(a_items, a_weights, a_n, b_items, nullptr, b_weight,
-                     b_n, total_weight);
+  // In-place rebuild by one k-way merge of the sorted runs[0, num_runs):
+  // every entry of runs[r] weighs runs[r].weight, and on ties the earlier
+  // run goes first. Empty runs are allowed, but not all of them. Writes
+  // items and inclusive cumulative weights by index into the arrays;
+  // O(R log k) for R entries in k non-empty runs, with a loser tree.
+  void AssignRuns(const UniformRun<T>* runs, size_t num_runs,
+                  uint64_t total_weight) {
+    // The non-empty runs in order, as [cur, end) cursors.
+    std::vector<const T*> cur;
+    std::vector<const T*> end;
+    std::vector<uint64_t> weight;
+    size_t n = 0;
+    for (size_t r = 0; r < num_runs; ++r) {
+      if (runs[r].size == 0) continue;
+      cur.push_back(runs[r].items);
+      end.push_back(runs[r].items + runs[r].size);
+      weight.push_back(runs[r].weight);
+      n += runs[r].size;
+    }
+    util::CheckArg(n > 0, "SortedView requires a non-empty sketch");
+    items_.resize(n);
+    cum_weights_.resize(n);
+    const size_t k = cur.size();
+    // Run a goes before run b when its next item is smaller, or equal and
+    // a is the earlier run; an exhausted run goes after every other.
+    const auto before = [&](size_t a, size_t b) {
+      if (cur[a] == end[a]) return false;
+      if (cur[b] == end[b]) return true;
+      if (comp_(*cur[a], *cur[b])) return true;
+      return a < b && !comp_(*cur[b], *cur[a]);
+    };
+    // Heap-indexed tree: leaf r is node k + r, node j < k has children 2j
+    // and 2j + 1 and keeps the loser of the match played there; the
+    // overall winner is kept apart.
+    std::vector<size_t> loser(2 * k);
+    for (size_t r = 0; r < k; ++r) loser[k + r] = r;
+    std::vector<size_t> winner(loser);
+    for (size_t j = k; j-- > 1;) {
+      const size_t a = winner[2 * j];
+      const size_t b = winner[2 * j + 1];
+      const bool a_wins = before(a, b);
+      winner[j] = a_wins ? a : b;
+      loser[j] = a_wins ? b : a;
+    }
+    size_t top = k == 1 ? 0 : winner[1];
+    T* out_items = items_.data();
+    uint64_t* out_cum = cum_weights_.data();
+    uint64_t cum = 0;
+    for (size_t i = 0; i < n; ++i) {
+      out_items[i] = *cur[top]++;
+      cum += weight[top];
+      out_cum[i] = cum;
+      // Replay the winner's path to the root.
+      for (size_t j = (k + top) / 2; j >= 1; j /= 2) {
+        if (before(loser[j], top)) std::swap(loser[j], top);
+      }
+    }
+    total_weight_ = total_weight;
+    util::CheckState(cum == total_weight_,
+                     "sorted view weight mismatch: sketch corrupted");
   }
 
-  // As AssignMerged, but run B also carries per-entry weights (used by
-  // the Section 5 chain to merge the closed-summaries run with the
-  // active summary's view).
+  // In-place repair: merges the sorted items[0, count), each of weight
+  // `weight`, into the view. Each new item lands after every entry equal
+  // to it; an entry it passes moves up by the number of new items placed
+  // before it, and its cumulative weight grows by that many weights.
+  // O(count log R) searches plus one move of the entries past the
+  // smallest new item.
+  void InsertSorted(const T* items, size_t count, uint64_t weight) {
+    if (count == 0) return;
+    size_t end = items_.size();  // entries [0, end) have not moved
+    items_.resize(end + count);
+    cum_weights_.resize(end + count);
+    T* view_items = items_.data();
+    uint64_t* cum = cum_weights_.data();
+    for (size_t j = count; j > 0; --j) {
+      const T& item = items[j - 1];
+      const size_t pos = static_cast<size_t>(
+          std::upper_bound(view_items, view_items + end, item, comp_) -
+          view_items);
+      const uint64_t shift = j * weight;
+      std::move_backward(view_items + pos, view_items + end,
+                         view_items + end + j);
+      for (size_t i = end; i-- > pos;) cum[i + j] = cum[i] + shift;
+      view_items[pos + j - 1] = item;
+      cum[pos + j - 1] = (pos == 0 ? 0 : cum[pos - 1]) + shift;
+      end = pos;
+    }
+    total_weight_ += count * weight;
+  }
+
+  // In-place rebuild by merging two sorted runs with per-entry weights
+  // (ties go to run A; either run may be empty, but not both). Used by
+  // the Section 5 chain to merge the closed-summaries run with the active
+  // summary's view; O(|A| + |B|).
   void AssignMergedWeighted(const T* a_items, const uint64_t* a_weights,
                             size_t a_n, const T* b_items,
                             const uint64_t* b_weights, size_t b_n,
                             uint64_t total_weight) {
-    AssignMergedImpl(a_items, a_weights, a_n, b_items, b_weights,
-                     /*b_uniform_weight=*/0, b_n, total_weight);
+    util::CheckArg(a_n + b_n > 0, "SortedView requires a non-empty sketch");
+    items_.clear();
+    cum_weights_.clear();
+    items_.reserve(a_n + b_n);
+    cum_weights_.reserve(a_n + b_n);
+    uint64_t cum = 0;
+    size_t i = 0, j = 0;
+    while (i < a_n && j < b_n) {
+      if (comp_(b_items[j], a_items[i])) {
+        cum += b_weights[j];
+        items_.push_back(b_items[j++]);
+      } else {
+        cum += a_weights[i];
+        items_.push_back(a_items[i++]);
+      }
+      cum_weights_.push_back(cum);
+    }
+    for (; i < a_n; ++i) {
+      cum += a_weights[i];
+      items_.push_back(a_items[i]);
+      cum_weights_.push_back(cum);
+    }
+    for (; j < b_n; ++j) {
+      cum += b_weights[j];
+      items_.push_back(b_items[j]);
+      cum_weights_.push_back(cum);
+    }
+    total_weight_ = total_weight;
+    util::CheckState(cum == total_weight_,
+                     "sorted view weight mismatch: sketch corrupted");
   }
 
   size_t size() const { return items_.size(); }
@@ -234,48 +349,6 @@ class SortedView {
   }
 
  private:
-  // Shared two-run merge core: run B's entry weights come from
-  // b_weights when non-null, else uniformly b_uniform_weight.
-  void AssignMergedImpl(const T* a_items, const uint64_t* a_weights,
-                        size_t a_n, const T* b_items,
-                        const uint64_t* b_weights,
-                        uint64_t b_uniform_weight, size_t b_n,
-                        uint64_t total_weight) {
-    util::CheckArg(a_n + b_n > 0, "SortedView requires a non-empty sketch");
-    items_.clear();
-    cum_weights_.clear();
-    items_.reserve(a_n + b_n);
-    cum_weights_.reserve(a_n + b_n);
-    const auto b_weight = [&](size_t j) {
-      return b_weights != nullptr ? b_weights[j] : b_uniform_weight;
-    };
-    uint64_t cum = 0;
-    size_t i = 0, j = 0;
-    while (i < a_n && j < b_n) {
-      if (comp_(b_items[j], a_items[i])) {
-        cum += b_weight(j);
-        items_.push_back(b_items[j++]);
-      } else {
-        cum += a_weights[i];
-        items_.push_back(a_items[i++]);
-      }
-      cum_weights_.push_back(cum);
-    }
-    for (; i < a_n; ++i) {
-      cum += a_weights[i];
-      items_.push_back(a_items[i]);
-      cum_weights_.push_back(cum);
-    }
-    for (; j < b_n; ++j) {
-      cum += b_weight(j);
-      items_.push_back(b_items[j]);
-      cum_weights_.push_back(cum);
-    }
-    total_weight_ = total_weight;
-    util::CheckState(cum == total_weight_,
-                     "sorted view weight mismatch: sketch corrupted");
-  }
-
   // First index in [lo, size) whose item is past y: > y under inclusive
   // semantics, >= y under exclusive. Galloping (exponential) probe from
   // `lo` followed by a binary search inside the located range, so a

@@ -5,12 +5,15 @@
 // are run under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "core/req_sketch.h"
+#include "service/sketch_registry.h"
 #include "workload/distributions.h"
 
 namespace req {
@@ -104,6 +107,108 @@ TEST(ConcurrentQueriesTest, PrepareSortedViewWarmsCache) {
     });
   }
   for (auto& th : threads) th.join();
+}
+
+// Runs `query(t)` on num_threads threads that start together, so they race
+// the same cold view.
+void RaceThreads(int num_threads, const std::function<void(int)>& query) {
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < num_threads) std::this_thread::yield();
+      query(t);
+    });
+  }
+  for (auto& th : threads) th.join();
+}
+
+// The appends between query rounds: mostly a few items, which the view
+// repairs in place, and every third round a batch that compacts, after
+// which the view is built from scratch. The view build uses a per-thread
+// scratch buffer, so each thread that wins the race writes its own.
+size_t AppendSize(int round) { return round % 3 == 2 ? 3000 : 1 + round % 7; }
+
+const std::vector<double> kRaceQs{0.01, 0.25, 0.5, 0.9, 0.999};
+
+// Threads race the first GetQuantiles / GetRanks after each append on one
+// shared sketch; every answer must equal the one a single-threaded twin
+// fed the same items gives.
+TEST(ConcurrentQueriesTest, FirstQueryAfterAppendRaces) {
+  ReqConfig config;
+  config.k_base = 32;
+  config.seed = 7;
+  ReqSketch<double> shared(config);
+  ReqSketch<double> twin(config);
+  const auto values = workload::GenerateLognormal(60000, 11);
+  const std::vector<double> points(values.begin(), values.begin() + 64);
+  constexpr int kThreads = 4;
+  size_t next = 0;
+  for (int round = 0; round < 30; ++round) {
+    const size_t m = AppendSize(round);
+    shared.Update(values.data() + next, m);
+    twin.Update(values.data() + next, m);
+    next += m;
+    const std::vector<double> expected_qs = twin.GetQuantiles(kRaceQs);
+    const std::vector<uint64_t> expected_ranks = twin.GetRanks(points);
+    std::vector<std::vector<double>> qs(kThreads);
+    std::vector<std::vector<uint64_t>> ranks(kThreads);
+    RaceThreads(kThreads, [&](int t) {
+      if (t % 2 == 0) {
+        qs[t] = shared.GetQuantiles(kRaceQs);
+        ranks[t] = shared.GetRanks(points);
+      } else {
+        ranks[t] = shared.GetRanks(points);
+        qs[t] = shared.GetQuantiles(kRaceQs);
+      }
+    });
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(qs[t], expected_qs) << "round " << round << " thread " << t;
+      ASSERT_EQ(ranks[t], expected_ranks)
+          << "round " << round << " thread " << t;
+    }
+  }
+}
+
+// The same race through a registry engine, whose queries share the
+// engine's state lock and so reach the sketch's view concurrently.
+TEST(ConcurrentQueriesTest, EngineFirstQueryAfterAppendRaces) {
+  service::SketchRegistry registry;
+  service::MetricSpec spec;
+  auto engine = registry.Create("m", spec);
+  ReqSketch<double> twin(spec.base);
+  const auto values = workload::GenerateLognormal(60000, 13);
+  const std::vector<double> points(values.begin(), values.begin() + 64);
+  constexpr int kThreads = 4;
+  size_t next = 0;
+  for (int round = 0; round < 30; ++round) {
+    const size_t m = AppendSize(round);
+    engine->Append(values.data() + next, m);
+    twin.Update(values.data() + next, m);
+    next += m;
+    const std::vector<double> expected_qs =
+        twin.GetQuantiles(kRaceQs, Criterion::kInclusive);
+    const std::vector<uint64_t> expected_ranks =
+        twin.GetRanks(points, Criterion::kInclusive);
+    std::vector<std::vector<double>> qs(kThreads);
+    std::vector<std::vector<uint64_t>> ranks(kThreads);
+    RaceThreads(kThreads, [&](int t) {
+      if (t % 2 == 0) {
+        qs[t] = engine->GetQuantiles(kRaceQs, Criterion::kInclusive);
+      } else {
+        ranks[t] = engine->GetRanks(points, Criterion::kInclusive);
+      }
+    });
+    for (int t = 0; t < kThreads; ++t) {
+      if (t % 2 == 0) {
+        ASSERT_EQ(qs[t], expected_qs) << "round " << round << " thread " << t;
+      } else {
+        ASSERT_EQ(ranks[t], expected_ranks)
+            << "round " << round << " thread " << t;
+      }
+    }
+  }
 }
 
 // An update must still invalidate the memoized view (single-writer phase),

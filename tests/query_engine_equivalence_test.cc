@@ -1,20 +1,27 @@
 // Query-engine equivalence: the overhauled query stack -- arena-backed
-// contiguous level storage, incrementally repaired weight-indexed sorted
-// views, and the bulk-rank co-scan kernels -- must produce *bit-identical*
-// answers to the seed-era scalar paths, on randomized streams, across
-// every query surface (plain sketch, Section 5 chain, sharded, windowed).
+// contiguous level storage, weight-indexed sorted views built straight
+// from the levels and repaired in place after level-0 appends, and the
+// bulk-rank co-scan kernels -- must produce *bit-identical* answers to the
+// seed-era scalar paths, on randomized streams, across every query
+// surface (plain sketch, Section 5 chain, sharded, windowed).
 //
 // The reference implementation below is the seed-era algorithm verbatim:
 // collect all (item, weight) pairs, std::sort them, scan cumulative
 // weights, and answer each query with its own binary search. A second
 // reference, FullRebuildView, is the seed-era full-rebuild path of the
 // production view (collect every weighted pair, build a SortedView from
-// scratch), pinning incremental repair against full rebuild directly.
+// scratch), pinning the memoized view -- repaired or rebuilt -- against it
+// directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -174,8 +181,8 @@ TEST(QueryEngineEquivalenceTest, PlainSketchRandomizedInterleaving) {
       consumed = end;
       const auto probes = MakeProbes(values, rng, 200);
       CheckPlainSurface(sketch, probes);
-      // A point update right before querying exercises the
-      // level-0-only incremental repair specifically.
+      // A point update right before querying exercises the level-0
+      // append repair specifically.
       sketch.Update(values[rng.NextBounded(consumed)]);
       CheckPlainSurface(sketch, probes);
     }
@@ -216,6 +223,161 @@ TEST(QueryEngineEquivalenceTest, IncrementalRepairMatchesFullRebuild) {
   }
 }
 
+// The seed of the randomized view tests: REQ_TEST_SEED when set, else a
+// fresh one. Printed either way, so a failing run replays with
+// REQ_TEST_SEED=<seed>.
+uint64_t TestSeed() {
+  const char* env = std::getenv("REQ_TEST_SEED");
+  const uint64_t seed = env != nullptr
+                            ? std::strtoull(env, nullptr, 10)
+                            : (uint64_t{std::random_device{}()} << 32) |
+                                  std::random_device{}();
+  std::printf("REQ_TEST_SEED=%llu\n", static_cast<unsigned long long>(seed));
+  return seed;
+}
+
+// The items' bit patterns, so that -0.0 and +0.0 compare unequal.
+std::vector<uint64_t> ItemBits(const std::vector<double>& items) {
+  std::vector<uint64_t> bits(items.size());
+  std::memcpy(bits.data(), items.data(), items.size() * sizeof(double));
+  return bits;
+}
+
+void ExpectSameView(const SortedView<double>& actual,
+                    const SortedView<double>& expected) {
+  ASSERT_EQ(ItemBits(actual.items()), ItemBits(expected.items()));
+  ASSERT_EQ(actual.cum_weights(), expected.cum_weights());
+  ASSERT_EQ(actual.total_weight(), expected.total_weight());
+}
+
+// The facts that decide whether the next view may be an append repair.
+struct LevelStamp {
+  size_t num_levels = 0;
+  uint64_t upper_versions = 0;
+  size_t level0_size = 0;
+  uint64_t level0_compactions = 0;
+};
+
+LevelStamp Stamp(const ReqSketch<double>& sketch) {
+  LevelStamp stamp;
+  stamp.num_levels = sketch.num_levels();
+  for (size_t h = 1; h < sketch.num_levels(); ++h) {
+    stamp.upper_versions += sketch.levels()[h].version();
+  }
+  stamp.level0_size = sketch.levels()[0].size();
+  stamp.level0_compactions = sketch.levels()[0].num_compactions();
+  return stamp;
+}
+
+bool OnlyLevel0Grew(const LevelStamp& before, const LevelStamp& after) {
+  return before.num_levels == after.num_levels &&
+         before.upper_versions == after.upper_versions &&
+         before.level0_compactions == after.level0_compactions &&
+         before.level0_size < after.level0_size;
+}
+
+// Point updates, small appends that fit in level 0, batches that compact
+// and merges, in random order; after every step the memoized view must
+// equal a from-scratch build bit for bit. Continuous data, so the
+// reference's unstable sort has no ties to order.
+TEST(QueryEngineEquivalenceTest, ViewMatchesFullRebuildUnderRandomMutations) {
+  const uint64_t seed = TestSeed();
+  SCOPED_TRACE("REQ_TEST_SEED=" + std::to_string(seed));
+  for (RankAccuracy accuracy :
+       {RankAccuracy::kHighRanks, RankAccuracy::kLowRanks}) {
+    for (uint32_t k : {16u, 32u, 256u}) {
+      SCOPED_TRACE("k_base " + std::to_string(k) +
+                   (accuracy == RankAccuracy::kHighRanks ? " HRA" : " LRA"));
+      ReqConfig config;
+      config.k_base = k;
+      config.accuracy = accuracy;
+      config.seed = seed + k;
+      ReqSketch<double> sketch(config);
+      util::Xoshiro256 rng(seed ^ (k * 0x9e3779b97f4a7c15ULL) ^
+                           static_cast<uint64_t>(accuracy));
+      std::vector<double> chunk;
+      const auto draw = [&](size_t m) -> const std::vector<double>& {
+        chunk.resize(m);
+        for (double& v : chunk) v = std::exp(4.0 * rng.NextDouble()) - 1.0;
+        return chunk;
+      };
+      size_t repairs = 0;
+      size_t merges = 0;
+      for (int step = 0; step < 240; ++step) {
+        const LevelStamp before = Stamp(sketch);
+        const size_t capacity = sketch.levels()[0].capacity();
+        const size_t size = sketch.levels()[0].size();
+        const size_t room = capacity > size ? capacity - size : 0;
+        const uint64_t action = rng.NextBounded(10);
+        if (action < 3 || room < 2) {
+          sketch.Update(draw(1)[0]);
+        } else if (action < 6) {
+          // Stays below level 0's capacity, so nothing compacts.
+          const size_t m = 1 + rng.NextBounded(std::min<size_t>(room - 1, 64));
+          sketch.Update(draw(m));
+        } else if (action < 9) {
+          const size_t m = 1 + rng.NextBounded(4 * sketch.level_capacity());
+          sketch.Update(draw(m));
+        } else {
+          ReqConfig side_config = config;
+          side_config.seed = rng.Next();
+          ReqSketch<double> side(side_config);
+          side.Update(draw(1 + rng.NextBounded(20000)));
+          sketch.Merge(side);
+          ++merges;
+        }
+        if (OnlyLevel0Grew(before, Stamp(sketch))) ++repairs;
+        ExpectSameView(sketch.CachedSortedView(), FullRebuildView(sketch));
+      }
+      // Both paths ran: repairs after level-0 appends, full builds after
+      // compactions and merges.
+      EXPECT_GT(repairs, 40u);
+      EXPECT_GT(merges, 5u);
+      EXPECT_GT(sketch.num_levels(), 2u);
+    }
+  }
+}
+
+// Two sketches fed the same stream -- duplicates and both signed zeros
+// included -- end with the same view whether one was queried after every
+// append and the other only at the end: the view depends on the level
+// contents alone, not on which repairs and builds produced it.
+TEST(QueryEngineEquivalenceTest, ViewDoesNotDependOnQueryHistory) {
+  const uint64_t seed = TestSeed();
+  SCOPED_TRACE("REQ_TEST_SEED=" + std::to_string(seed));
+  const double kTies[] = {-0.0, 0.0, -1.0, 1.0, 2.5, 1e3};
+  for (RankAccuracy accuracy :
+       {RankAccuracy::kHighRanks, RankAccuracy::kLowRanks}) {
+    for (uint32_t k : {16u, 64u}) {
+      SCOPED_TRACE("k_base " + std::to_string(k) +
+                   (accuracy == RankAccuracy::kHighRanks ? " HRA" : " LRA"));
+      ReqConfig config;
+      config.k_base = k;
+      config.accuracy = accuracy;
+      config.seed = seed + k;
+      ReqSketch<double> queried(config);
+      ReqSketch<double> quiet(config);
+      util::Xoshiro256 rng(seed ^ k ^ static_cast<uint64_t>(accuracy));
+      std::vector<double> chunk;
+      for (int step = 0; step < 1500; ++step) {
+        const size_t m = rng.NextBounded(8) == 0 ? 1 + rng.NextBounded(300)
+                                                 : 1 + rng.NextBounded(6);
+        chunk.resize(m);
+        for (double& v : chunk) {
+          v = rng.NextBit() ? kTies[rng.NextBounded(6)]
+                            : 10.0 * rng.NextDouble() - 5.0;
+        }
+        queried.Update(chunk);
+        quiet.Update(chunk);
+        (void)queried.GetQuantile(0.5);
+      }
+      ExpectSameView(queried.CachedSortedView(), quiet.CachedSortedView());
+      EXPECT_EQ(queried.GetQuantiles({0.1, 0.5, 0.9, 0.99}),
+                quiet.GetQuantiles({0.1, 0.5, 0.9, 0.99}));
+    }
+  }
+}
+
 TEST(QueryEngineEquivalenceTest, MergeDirtiesUpperLevelsConsistently) {
   // Merging dirties many levels at once; the repaired view must still
   // match the reference exactly.
@@ -234,15 +396,16 @@ TEST(QueryEngineEquivalenceTest, MergeDirtiesUpperLevelsConsistently) {
   side.Update(values.data() + 10000, 20000);
   sketch.Merge(side);
   CheckPlainSurface(sketch, MakeProbes(values, rng, 150));
-  // Point update after the merge: level 0 repair on top of the merged
-  // upper run.
+  // Point update after the merge: level-0 append repair on top of the
+  // view the merge rebuilt.
   sketch.Update(values[5]);
   CheckPlainSurface(sketch, MakeProbes(values, rng, 150));
 }
 
 TEST(QueryEngineEquivalenceTest, QueriesDoNotPerturbSerializedState) {
-  // The view builder works on copies: running the whole query surface must
-  // not change the sketch's serialized bytes (storage order included).
+  // The view builder reads the levels in place and sorts copies of their
+  // tails: running the whole query surface must not change the sketch's
+  // serialized bytes (storage order included).
   ReqConfig config;
   config.k_base = 32;
   config.seed = 11;

@@ -329,8 +329,9 @@ TEST(WindowedEngine, TracksWindowAndExpiresOldData) {
 
 // --- every kind: live queries vs. a from-scratch reference ----------------
 
-// An engine answers from its live state: the plain sketch's incrementally
-// repaired sorted view, the window's and the shards' memoized merges. Each
+// An engine answers from its live state: the plain sketch's sorted view
+// (rebuilt from its levels, or repaired in place after level-0 appends),
+// the window's and the shards' memoized merges. Each
 // answer must equal that of a reference built from scratch at the same
 // point -- the in-process structure deserialized from the engine's own
 // snapshot, never queried before.

@@ -103,5 +103,46 @@ TEST(SortedViewTest, CustomComparator) {
   EXPECT_EQ(view.GetQuantile(1.0, Criterion::kInclusive), "cherry");
 }
 
+// The k-way merge: entries carry their run's weight, ties go to the
+// earlier run, and empty runs are skipped.
+TEST(SortedViewTest, AssignRunsMergesWeightedRuns) {
+  const std::vector<double> a = {1.0, 3.0, 5.0};
+  const std::vector<double> b = {};
+  const std::vector<double> c = {2.0, 3.0};
+  const std::vector<double> d = {0.5, 3.0, 9.0};
+  const std::vector<UniformRun<double>> runs = {
+      {a.data(), a.size(), 4},
+      {b.data(), b.size(), 8},
+      {c.data(), c.size(), 2},
+      {d.data(), d.size(), 1}};
+  SortedView<double> view;
+  view.AssignRuns(runs.data(), runs.size(), 3 * 4 + 2 * 2 + 3 * 1);
+  EXPECT_EQ(view.items(), (std::vector<double>{0.5, 1.0, 2.0, 3.0, 3.0, 3.0,
+                                               5.0, 9.0}));
+  // The three 3.0s: run a's (4), then c's (2), then d's (1).
+  EXPECT_EQ(view.cum_weights(),
+            (std::vector<uint64_t>{1, 5, 7, 11, 13, 14, 18, 19}));
+  EXPECT_THROW(view.AssignRuns(runs.data(), runs.size(), 20),
+               std::logic_error);
+}
+
+// The in-place repair lands each new item after the entries equal to it
+// and shifts the cumulative weights it passes.
+TEST(SortedViewTest, InsertSortedMatchesRebuild) {
+  const std::vector<double> a = {1.0, 3.0, 5.0};
+  const std::vector<UniformRun<double>> runs = {{a.data(), a.size(), 4}};
+  SortedView<double> view;
+  view.AssignRuns(runs.data(), runs.size(), 12);
+  const std::vector<double> added = {0.0, 3.0, 3.0, 6.0};
+  view.InsertSorted(added.data(), added.size(), 1);
+  EXPECT_EQ(view.items(),
+            (std::vector<double>{0.0, 1.0, 3.0, 3.0, 3.0, 5.0, 6.0}));
+  EXPECT_EQ(view.cum_weights(),
+            (std::vector<uint64_t>{1, 5, 9, 10, 11, 15, 16}));
+  EXPECT_EQ(view.total_weight(), 16u);
+  EXPECT_EQ(view.GetRank(3.0, Criterion::kInclusive), 11u);
+  EXPECT_EQ(view.GetQuantile(1.0, Criterion::kInclusive), 6.0);
+}
+
 }  // namespace
 }  // namespace req
