@@ -1,11 +1,11 @@
 // EpochSnapshotCache: the epoch-tagged read-snapshot primitive behind
-// merge-on-query, factored out of the sharded orchestrator so every
-// subsystem that publishes an expensive-to-build read view over mutating
-// state shares one implementation (and one memory-ordering argument).
+// merge-on-query, shared by every subsystem that publishes an
+// expensive-to-build read view over mutating state (one implementation,
+// one memory-ordering argument).
 //
-// Users: ShardedReqSketch's merged view and, in the service layer
-// (service/sketch_registry.h), the SketchRegistry's metric-directory
-// snapshots for LIST and the sharded engine's merged view of its shards.
+// Users, all in the service layer (service/sketch_registry.h): the
+// SketchRegistry's metric-directory snapshots for LIST and the sharded
+// engine's (RotatingShards') merged view of its shards.
 //
 // Contract:
 //   * Writers bump a monotone epoch counter (owned by the caller) after

@@ -56,9 +56,10 @@
 // filled under an internal lock with a double-checked atomic flag), but
 // mutations (Update / Merge) still require exclusive access: no query or
 // other mutation may run concurrently with them. This is exactly the
-// contract the sharded orchestrator in concurrency/sharded_req_sketch.h
-// needs: shards are mutated under a per-shard lock while the merged
-// read-only view is queried freely from many threads.
+// contract the registry engine (service/sketch_registry.h) relies on: it
+// mutates its state under an exclusive lock while queries on the state --
+// a sketch, or the merged view of a sharded metric's shards -- run under
+// the shared one from many threads.
 //
 // Error guarantee (Theorem 1): for a fixed item y, with probability 1-delta,
 //   |RankEstimate(y) - R(y)| <= eps * R(y)          (LRA)
@@ -441,8 +442,8 @@ class ReqSketch {
   }
 
   // Pointer-array form of the N-way merge, for sources that do not live in
-  // a contiguous array (e.g. the per-shard sketches of the concurrent
-  // orchestrator). `Merge(&p, 1)` is bit-identical to the pairwise
+  // a contiguous array (e.g. the shards MergeShards combines).
+  // `Merge(&p, 1)` is bit-identical to the pairwise
   // `Merge(*p)` (same special compactions, same coin flips).
   void Merge(const ReqSketch* const* sources, size_t count) {
     uint64_t n_new = n_;
@@ -993,8 +994,9 @@ class ReqSketch {
   mutable detail::CopyableMutex view_mutex_;
 };
 
-// The merge-on-query sketch over a set of parts (the shards of a sharded
-// sketch, the live buckets of a window): one N-way Merge of the non-empty
+// The merge-on-query sketch over a set of parts (the shards of a kSharded
+// service metric -- RotatingShards in service/sketch_registry.h -- or the
+// live buckets of a window): one N-way Merge of the non-empty
 // `parts`, in the given order, into a fresh sketch configured like `base`
 // but seeded so its compaction coin flips are decorrelated from the part
 // seeded base.seed.

@@ -879,8 +879,10 @@ class ReqdServer {
       case Opcode::kAppend: {
         SketchRegistry::EnginePtr engine =
             registry_->Require(request.metric);
-        engine->Append(request.values.data(), request.values.size());
-        response.n = engine->AcceptedN();
+        // The count as of this batch: reading AcceptedN() afterwards could
+        // already include a concurrent writer's later batch.
+        response.n =
+            engine->Append(request.values.data(), request.values.size());
         // Checkpoint on the append path, after the ack state is set: the
         // engine decides (by WAL bytes written) whether a snapshot is
         // due, so recovery replay stays short without a background timer.

@@ -8,7 +8,7 @@
 //                test holds this bit-exactly).
 //   kSharded  -> num_shards independently seeded ReqSketch<double>s, whole
 //                batches rotated, merged on query (Theorem 3); snapshots
-//                use ShardedReqSketch's serde.
+//                use the SHRQ layout (detail::SerializeShards).
 //   kWindowed -> WindowedReqSketch<double>: count-driven sliding window
 //                (bucket_items per bucket, num_buckets buckets).
 //
@@ -71,12 +71,12 @@
 #include <vector>
 
 #include "concurrency/epoch_snapshot.h"
-#include "concurrency/sharded_req_sketch.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
 #include "persist/durability.h"
 #include "persist/metric_log.h"
 #include "service/wire_protocol.h"
+#include "util/serde.h"
 #include "util/validation.h"
 #include "window/windowed_req_sketch.h"
 
@@ -159,10 +159,11 @@ class MetricEngine {
     return accepted_n_.load(std::memory_order_acquire);
   }
 
-  // Applies `count` items; rejects NaN up front (strong guarantee: nothing
-  // is applied on throw -- including a WAL write failure, which surfaces
-  // as persist::IoError before any state change).
-  virtual void Append(const double* data, size_t count) = 0;
+  // Applies `count` items and returns AcceptedN() as of this batch (this
+  // batch included, no later one); rejects NaN up front (strong
+  // guarantee: nothing is applied on throw -- including a WAL write
+  // failure, which surfaces as persist::IoError before any state change).
+  virtual uint64_t Append(const double* data, size_t count) = 0;
 
   // Resident heap bytes this engine holds (sketch payloads, view
   // caches, allocator slack). The registry's quota accounting
@@ -277,6 +278,72 @@ inline std::vector<uint8_t> SnapshotBlobPayload(
 
 namespace detail {
 
+// Shard i's sketch config: the base config seeded base.seed + i, so shards
+// draw independent, reproducible coin flips.
+inline ReqConfig ShardConfig(const ReqConfig& base, size_t shard) {
+  ReqConfig config = base;
+  config.seed = base.seed + shard;
+  return config;
+}
+
+// The sharded serde layout ("SHRQ"):
+//   u32 magic | u8 version | u32 num_shards | u64 buffer_capacity |
+//   per shard: u64 byte count | ReqSerde payload.
+inline constexpr uint32_t kShardedSerdeMagic = 0x53485251;  // "SHRQ"
+inline constexpr uint8_t kShardedSerdeVersion = 1;
+
+template <typename T, typename Compare>
+std::vector<uint8_t> SerializeShards(
+    const std::vector<const ReqSketch<T, Compare>*>& shards,
+    uint64_t buffer_capacity) {
+  util::BinaryWriter writer;
+  writer.Write<uint32_t>(kShardedSerdeMagic);
+  writer.Write<uint8_t>(kShardedSerdeVersion);
+  writer.Write<uint32_t>(static_cast<uint32_t>(shards.size()));
+  writer.Write<uint64_t>(buffer_capacity);
+  for (const ReqSketch<T, Compare>* shard : shards) {
+    writer.WriteVector<uint8_t>(ReqSerde<T, Compare>::Serialize(*shard));
+  }
+  return writer.Release();
+}
+
+// Parses the SHRQ layout: the shard sketches, and the recorded buffer
+// capacity in *buffer_capacity. Treats the bytes as untrusted.
+template <typename T, typename Compare = std::less<T>>
+std::vector<ReqSketch<T, Compare>> DeserializeShards(
+    const std::vector<uint8_t>& bytes, uint64_t* buffer_capacity,
+    const Compare& comp = Compare()) {
+  util::BinaryReader reader(bytes);
+  util::CheckData(reader.Read<uint32_t>() == kShardedSerdeMagic,
+                  "not a serialized sharded REQ sketch (bad magic)");
+  util::CheckData(reader.Read<uint8_t>() == kShardedSerdeVersion,
+                  "unsupported sharded sketch serialization version");
+  const uint32_t num_shards = reader.Read<uint32_t>();
+  util::CheckData(num_shards >= 1 && num_shards <= (1u << 16),
+                  "corrupt sharded sketch: implausible shard count");
+  *buffer_capacity = reader.Read<uint64_t>();
+  util::CheckData(*buffer_capacity >= 1 &&
+                      *buffer_capacity <= (uint64_t{1} << 32),
+                  "corrupt sharded sketch: implausible buffer capacity");
+  std::vector<ReqSketch<T, Compare>> shards;
+  shards.reserve(num_shards);
+  for (uint32_t i = 0; i < num_shards; ++i) {
+    const std::vector<uint8_t> payload = reader.ReadVector<uint8_t>();
+    shards.push_back(ReqSerde<T, Compare>::Deserialize(payload, comp));
+    // Shards must be mutually mergeable, or the first query (which
+    // merges them) would surface data corruption as an invalid-argument
+    // error far from the load site.
+    util::CheckData(
+        shards[i].config().k_base == shards[0].config().k_base &&
+            shards[i].config().accuracy == shards[0].config().accuracy,
+        "corrupt sharded sketch: shards disagree on k_base/accuracy");
+  }
+  // A num_shards corrupted downward would otherwise parse cleanly and
+  // silently drop the unread shard payloads.
+  util::CheckData(reader.AtEnd(), "corrupt sharded sketch: trailing bytes");
+  return shards;
+}
+
 // The sharded engine's state: num_shards sketches, shard i seeded
 // base.seed + i. Each Update applies one whole batch to shard
 // `batches % num_shards` (empty batches advance the rotation too), so
@@ -296,7 +363,7 @@ class RotatingShards {
       : buffer_capacity_(spec.buffer_capacity) {
     shards_.reserve(spec.num_shards);
     for (size_t i = 0; i < spec.num_shards; ++i) {
-      shards_.emplace_back(concurrency::ShardConfig(spec.base, i));
+      shards_.emplace_back(ShardConfig(spec.base, i));
     }
   }
 
@@ -307,8 +374,7 @@ class RotatingShards {
                  uint64_t batches)
       : buffer_capacity_(spec.buffer_capacity), batches_(batches) {
     uint64_t recorded_capacity = 0;
-    shards_ =
-        concurrency::DeserializeShards<double>(payload, &recorded_capacity);
+    shards_ = DeserializeShards<double>(payload, &recorded_capacity);
     util::CheckData(shards_.size() == spec.num_shards,
                     "sharded snapshot shard count differs from spec");
   }
@@ -333,7 +399,7 @@ class RotatingShards {
 
   // The SHRQ layout, recording the spec's buffer_capacity in its header.
   std::vector<uint8_t> Serialize() const {
-    return concurrency::SerializeShards(Pointers(), buffer_capacity_);
+    return SerializeShards(Pointers(), buffer_capacity_);
   }
 
   // shards_ is sized exactly, and each shard's MemoryBytes() counts its
@@ -435,7 +501,7 @@ class Engine final : public MetricEngine {
   EngineKind kind() const override { return spec_.kind; }
   const MetricSpec& spec() const override { return spec_; }
 
-  void Append(const double* data, size_t count) override {
+  uint64_t Append(const double* data, size_t count) override {
     for (size_t i = 0; i < count; ++i) {
       util::CheckArg(!std::isnan(data[i]), "cannot append NaN");
     }
@@ -449,7 +515,7 @@ class Engine final : public MetricEngine {
       std::unique_lock<std::shared_mutex> lock(state_mutex_);
       state_.Update(data, count);
     }
-    accepted_n_.fetch_add(count, std::memory_order_release);
+    return accepted_n_.fetch_add(count, std::memory_order_release) + count;
   }
 
   size_t MemoryFootprint() const override {

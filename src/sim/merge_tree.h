@@ -26,8 +26,8 @@ enum class MergeTopology {
   kLeftDeep,   // ((s0 + s1) + s2) + ... : a streaming-aggregation chain
   kBalanced,   // pairwise rounds: the map-reduce combiner pattern
   kRandomTree, // random binary tree: adversarial "arbitrary" merges
-  kSharded,    // one flat N-way merge: the concurrent shard-per-thread
-               // merge-on-query pattern (concurrency/sharded_req_sketch.h)
+  kSharded,    // one flat N-way merge: the merge-on-query pattern of a
+               // kSharded service metric (service/sketch_registry.h)
 };
 
 inline constexpr MergeTopology kAllMergeTopologies[] = {
@@ -102,7 +102,7 @@ Sketch BuildAndMerge(const std::vector<std::vector<double>>& parts,
       return acc;
     }
     case MergeTopology::kSharded: {
-      // The merge-on-query shape of the sharded orchestrator: every
+      // The merge-on-query shape of a sharded metric: every
       // per-part sketch is a shard, and one flat N-way merge combines all
       // of them at once.
       Sketch acc = std::move(sketches.front());

@@ -5,12 +5,12 @@
 // (Theorem 3) makes the classic bucketed construction essentially free for
 // REQ: keep a ring of B time-bucketed sub-sketches, stream into the newest
 // bucket, retire the oldest whole bucket on rotation, and answer queries by
-// N-way-merging the live buckets -- the exact machinery the sharded
-// orchestrator (concurrency/sharded_req_sketch.h) already exercises. Each
-// live item is summarized by exactly one bucket, so the merged view carries
-// the REQ error guarantee for the window's n, and the rank confidence
-// bounds delegate to the merged sketch, i.e. they are scaled to the window
-// size rather than the stream lifetime.
+// N-way-merging the live buckets -- the same MergeShards machinery the
+// service's sharded metrics (RotatingShards, service/sketch_registry.h)
+// answer from. Each live item is summarized by exactly one bucket, so the
+// merged view carries the REQ error guarantee for the window's n, and the
+// rank confidence bounds delegate to the merged sketch, i.e. they are
+// scaled to the window size rather than the stream lifetime.
 //
 // Window semantics: the window covers the current (partially filled) bucket
 // plus the B-1 buckets before it -- between (B-1)/B and 100% of a full

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "concurrency/sharded_req_sketch.h"
 #include "core/req_chain.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
@@ -462,38 +461,47 @@ TEST(QueryEngineEquivalenceTest, ChainBulkMatchesScalarLoop) {
   EXPECT_GT(chain.num_summaries(), 1u);
 }
 
+// The sharded metric's query path: per-shard sketches (shard i seeded
+// base.seed + i, item i into shard i % 4) answered through MergeShards.
 TEST(QueryEngineEquivalenceTest, ShardedBulkMatchesScalarLoop) {
-  concurrency::ShardedReqConfig config;
-  config.num_shards = 4;
-  config.buffer_capacity = 512;
-  config.base.k_base = 32;
-  config.base.seed = 21;
-  concurrency::ShardedReqSketch<double> sharded(config);
+  constexpr size_t kShards = 4;
+  ReqConfig base;
+  base.k_base = 32;
+  base.seed = 21;
+  std::vector<ReqSketch<double>> shards;
+  for (size_t i = 0; i < kShards; ++i) {
+    ReqConfig config = base;
+    config.seed = base.seed + i;
+    shards.emplace_back(config);
+  }
+  std::vector<const ReqSketch<double>*> pointers;
+  for (const auto& shard : shards) pointers.push_back(&shard);
   util::Xoshiro256 rng(71);
   const auto values = workload::GenerateLognormal(40000, 83);
   for (size_t i = 0; i < values.size(); ++i) {
-    sharded.Update(i % config.num_shards, values[i]);
+    shards[i % kShards].Update(values[i]);
   }
-  sharded.FlushAll();
 
   const auto probes = MakeProbes(values, rng, 200);
-  const auto bulk = sharded.GetRanks(probes);
+  const auto merged = MergeShards(base, pointers);
+  const auto bulk = merged.GetRanks(probes);
   std::vector<uint64_t> bulk_ptr(probes.size());
-  sharded.GetRanks(probes.data(), probes.size(), bulk_ptr.data(),
-                   Criterion::kInclusive);
+  merged.GetRanks(probes.data(), probes.size(), bulk_ptr.data(),
+                  Criterion::kInclusive);
   ASSERT_EQ(bulk, bulk_ptr);
-  const auto merged = sharded.Merged();
+  const RefView ref = MakeRef(merged);
   for (size_t i = 0; i < probes.size(); ++i) {
-    ASSERT_EQ(bulk[i], sharded.GetRank(probes[i])) << "probe " << i;
     ASSERT_EQ(bulk[i], merged.GetRank(probes[i])) << "probe " << i;
+    ASSERT_EQ(bulk[i], ref.Rank(probes[i], Criterion::kInclusive))
+        << "probe " << i;
   }
-  // Single-shard flush between query rounds: answers must track the
-  // refreshed merged view exactly.
-  sharded.Update(0, values[0]);
-  sharded.Flush(0);
-  const auto bulk2 = sharded.GetRanks(probes);
+  // One more item into a single shard between query rounds: the
+  // re-merged view's answers must track it exactly.
+  shards[0].Update(values[0]);
+  const auto merged2 = MergeShards(base, pointers);
+  const auto bulk2 = merged2.GetRanks(probes);
   for (size_t i = 0; i < probes.size(); ++i) {
-    ASSERT_EQ(bulk2[i], sharded.GetRank(probes[i])) << "probe " << i;
+    ASSERT_EQ(bulk2[i], merged2.GetRank(probes[i])) << "probe " << i;
   }
 }
 

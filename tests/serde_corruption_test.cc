@@ -2,8 +2,9 @@
 // round-trips to a healthy, queryable sketch or throws a std:: exception --
 // never undefined behavior (no wild allocation, no out-of-bounds read, no
 // empty-optional dereference). Exhaustive single-bit flips and truncations
-// plus randomized multi-byte corruption, for both the plain ReqSketch serde
-// and the windowed serde built on top of it.
+// plus randomized multi-byte corruption, for the plain ReqSketch serde, the
+// windowed serde built on top of it, and the sharded metric's SHRQ layout
+// (which recovery parses from disk).
 #include "core/req_serde.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "core/req_sketch.h"
+#include "service/sketch_registry.h"
 #include "util/random.h"
+#include "util/serde.h"
 #include "window/windowed_req_sketch.h"
 #include "workload/distributions.h"
 
@@ -187,6 +190,132 @@ TEST(SerdeCorruptionTest, WindowedBitFlipsAndTruncationsAreSafe) {
         truncated, deserialize))
         << "truncation to " << len << " bytes was accepted";
   }
+}
+
+// --- SHRQ: the sharded metric's snapshot layout ------------------------------
+
+// Three shards of a sharded metric (shard i seeded ShardConfig(base, i)),
+// fed uneven slices of one stream.
+std::vector<ReqSketch<double>> ShardFixture() {
+  const auto values = workload::GenerateLognormal(1500, 6);
+  std::vector<ReqSketch<double>> shards;
+  for (size_t i = 0; i < 3; ++i) {
+    shards.emplace_back(service::detail::ShardConfig(MakeConfig(), i));
+  }
+  shards[0].Update(values.data(), 700);
+  shards[1].Update(values.data() + 700, 500);
+  shards[2].Update(values.data() + 1200, 300);
+  return shards;
+}
+
+std::vector<const ReqSketch<double>*> Pointers(
+    const std::vector<ReqSketch<double>>& shards) {
+  std::vector<const ReqSketch<double>*> pointers;
+  for (const auto& shard : shards) pointers.push_back(&shard);
+  return pointers;
+}
+
+std::vector<uint8_t> SerializeShardFixture(
+    const std::vector<ReqSketch<double>>& shards) {
+  return service::detail::SerializeShards(Pointers(shards), 4096);
+}
+
+std::vector<ReqSketch<double>> ParseShards(const std::vector<uint8_t>& b) {
+  uint64_t buffer_capacity = 0;
+  return service::detail::DeserializeShards<double>(b, &buffer_capacity);
+}
+
+// The view a sharded metric answers from: MergeShards over the parsed
+// shards, on shard 0's config.
+const auto kDeserializeShardsMerged = [](const std::vector<uint8_t>& b) {
+  const std::vector<ReqSketch<double>> shards = ParseShards(b);
+  return MergeShards(shards.front().config(), Pointers(shards));
+};
+
+// A corrupt SHRQ blob is rejected by the parse itself, with the
+// data-corruption exception -- never later, by the merge or a query.
+bool ShardsAcceptAndQuery(const std::vector<uint8_t>& bytes) {
+  if (AcceptAndQuery<ReqSketch<double>>(bytes, kDeserializeShardsMerged)) {
+    return true;
+  }
+  EXPECT_THROW(ParseShards(bytes), std::runtime_error);
+  return false;
+}
+
+TEST(SerdeCorruptionTest, ShardsBitFlipsAndTruncationsAreSafe) {
+  const std::vector<uint8_t> bytes = SerializeShardFixture(ShardFixture());
+  ASSERT_TRUE(ShardsAcceptAndQuery(bytes));
+  size_t accepted = 0, rejected = 0;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> mutated = bytes;
+      mutated[i] ^= static_cast<uint8_t>(1u << bit);
+      if (ShardsAcceptAndQuery(mutated)) {
+        ++accepted;
+      } else {
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + len);
+    EXPECT_FALSE(ShardsAcceptAndQuery(truncated))
+        << "truncation to " << len << " bytes was accepted";
+  }
+}
+
+// One crafted blob per check DeserializeShards makes. Layout:
+//   u32 magic | u8 version | u32 num_shards | u64 buffer_capacity |
+//   per shard: u64 byte count | ReqSerde payload.
+TEST(SerdeCorruptionTest, CraftedShardsHeadersAreRejected) {
+  const std::vector<ReqSketch<double>> shards = ShardFixture();
+  const auto craft = [&](uint32_t magic, uint8_t version, uint32_t num_shards,
+                         uint64_t buffer_capacity) {
+    util::BinaryWriter writer;
+    writer.Write<uint32_t>(magic);
+    writer.Write<uint8_t>(version);
+    writer.Write<uint32_t>(num_shards);
+    writer.Write<uint64_t>(buffer_capacity);
+    for (const auto& shard : shards) {
+      writer.WriteVector<uint8_t>(SerializeSketch(shard));
+    }
+    return writer.Release();
+  };
+  const uint32_t magic = service::detail::kShardedSerdeMagic;
+  const uint8_t version = service::detail::kShardedSerdeVersion;
+  ASSERT_EQ(craft(magic, version, 3, 4096), SerializeShardFixture(shards));
+  EXPECT_EQ(ParseShards(craft(magic, version, 3, 4096)).size(), 3u);
+
+  EXPECT_THROW(ParseShards(craft(magic ^ 1, version, 3, 4096)),
+               std::runtime_error);
+  EXPECT_THROW(ParseShards(craft(magic, version + 1, 3, 4096)),
+               std::runtime_error);
+  EXPECT_THROW(ParseShards(craft(magic, version, 0, 4096)), std::runtime_error);
+  EXPECT_THROW(ParseShards(craft(magic, version, (1u << 16) + 1, 4096)),
+               std::runtime_error);
+  EXPECT_THROW(ParseShards(craft(magic, version, 3, 0)), std::runtime_error);
+
+  // Shards that disagree on k_base could not be merged.
+  ReqConfig other = MakeConfig();
+  other.k_base = 32;
+  ReqSketch<double> odd_one(other);
+  odd_one.Update(1.0);
+  util::BinaryWriter writer;
+  writer.Write<uint32_t>(magic);
+  writer.Write<uint8_t>(version);
+  writer.Write<uint32_t>(2);
+  writer.Write<uint64_t>(4096);
+  writer.WriteVector<uint8_t>(SerializeSketch(shards[0]));
+  writer.WriteVector<uint8_t>(SerializeSketch(odd_one));
+  EXPECT_THROW(ParseShards(writer.Release()), std::runtime_error);
+
+  // A shard count corrupted downward leaves the last payload unread.
+  EXPECT_THROW(ParseShards(craft(magic, version, 2, 4096)), std::runtime_error);
+  std::vector<uint8_t> trailing = SerializeShardFixture(shards);
+  trailing.push_back(0);
+  EXPECT_THROW(ParseShards(trailing), std::runtime_error);
 }
 
 TEST(SerdeCorruptionTest, ValidRoundTripStillAccepted) {

@@ -370,13 +370,22 @@ TEST_F(ServiceE2ETest, SnapshotRoundTripsThroughWireForEveryEngine) {
     EXPECT_EQ(restored.GetQuantile(0.5),
               client.GetQuantiles("snap.plain", {0.5})[0]);
   }
-  // Sharded: sharded serde.
+  // Sharded: SHRQ payload; its shards hold every item.
   {
     const std::vector<uint8_t> blob = client.Snapshot("snap.sharded");
     ASSERT_EQ(SnapshotBlobKind(blob), EngineKind::kSharded);
-    auto restored = concurrency::ShardedReqSketch<double>::Deserialize(
-        SnapshotBlobPayload(blob));
+    uint64_t buffer_capacity = 0;
+    const std::vector<ReqSketch<double>> shards =
+        detail::DeserializeShards<double>(SnapshotBlobPayload(blob),
+                                          &buffer_capacity);
+    ASSERT_EQ(shards.size(), sharded.num_shards);
+    std::vector<const ReqSketch<double>*> pointers;
+    for (const ReqSketch<double>& shard : shards) pointers.push_back(&shard);
+    const ReqSketch<double> restored =
+        MergeShards(shards.front().config(), pointers);
     EXPECT_EQ(restored.n(), stream.size());
+    EXPECT_EQ(restored.GetQuantile(0.5),
+              client.GetQuantiles("snap.sharded", {0.5})[0]);
   }
   // Windowed: windowed serde (window semantics preserved).
   {

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "concurrency/sharded_req_sketch.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
 #include "gtest/gtest.h"
@@ -34,6 +33,22 @@ std::vector<double> TestStream(uint64_t seed, size_t count) {
 
 const std::vector<double> kQs = {0.0, 0.01, 0.25, 0.5, 0.9,
                                  0.99, 0.999, 1.0};
+
+std::vector<const ReqSketch<double>*> Pointers(
+    const std::vector<ReqSketch<double>>& sketches) {
+  std::vector<const ReqSketch<double>*> pointers;
+  for (const ReqSketch<double>& sketch : sketches) pointers.push_back(&sketch);
+  return pointers;
+}
+
+// A sharded snapshot's merged view, built from scratch: the SHRQ payload's
+// shards parsed, then N-way merged over shard 0's (the base) config.
+ReqSketch<double> MergeSnapshotShards(const std::vector<uint8_t>& payload) {
+  uint64_t buffer_capacity = 0;
+  const std::vector<ReqSketch<double>> shards =
+      detail::DeserializeShards<double>(payload, &buffer_capacity);
+  return MergeShards(shards.front().config(), Pointers(shards));
+}
 
 // --- registry directory ----------------------------------------------------
 
@@ -229,24 +244,28 @@ TEST(ShardedEngine, AggregatesAcrossShardsAndSnapshots) {
 
   const std::vector<uint8_t> blob = engine->Snapshot();
   ASSERT_EQ(SnapshotBlobKind(blob), EngineKind::kSharded);
-  auto restored = concurrency::ShardedReqSketch<double>::Deserialize(
-      SnapshotBlobPayload(blob));
+  const ReqSketch<double> restored =
+      MergeSnapshotShards(SnapshotBlobPayload(blob));
   EXPECT_EQ(restored.n(), stream.size());
   EXPECT_EQ(restored.GetQuantile(0.99),
             engine->GetQuantiles({0.99}, Criterion::kInclusive)[0]);
 }
 
-// A sharded metric equals an in-process ShardedReqSketch fed batch j into
-// shard j % num_shards (empty batches advance the rotation too), and keeps
-// matching after recovery from a checkpoint at batch position B.
+// A sharded metric equals num_shards in-process sketches, shard i seeded
+// ShardConfig(base, i), fed batch j into shard j % num_shards (empty
+// batches advance the rotation too) and queried through MergeShards: the
+// same SHRQ bytes and the same answers, also after recovery from a
+// checkpoint at batch position B.
 TEST(ShardedEngine, MatchesInProcessShardsBitIdentically) {
   MetricSpec spec;
   spec.kind = EngineKind::kSharded;
   spec.num_shards = 3;
   spec.base.k_base = 64;
   spec.buffer_capacity = 1000;
-  concurrency::ShardedReqSketch<double> reference(
-      {spec.num_shards, spec.buffer_capacity, spec.base});
+  std::vector<ReqSketch<double>> shards;
+  for (size_t i = 0; i < spec.num_shards; ++i) {
+    shards.emplace_back(detail::ShardConfig(spec.base, i));
+  }
   const std::vector<double> stream = TestStream(91, 60000);
   const std::vector<double> points = TestStream(92, 512);
   const std::vector<double> splits = {1e3, 1e4, 1e5, 5e5, 9e5};
@@ -263,12 +282,14 @@ TEST(ShardedEngine, MatchesInProcessShardsBitIdentically) {
     while (pos < end) {
       const size_t len = (batches == 4) ? 0 : std::min(step, end - pos);
       engine->Append(stream.data() + pos, len);
-      reference.Update(batches++ % spec.num_shards, stream.data() + pos, len);
+      shards[batches++ % spec.num_shards].Update(stream.data() + pos, len);
       pos += len;
       step = (step > 2000) ? 1 : step * 3 + 1;
     }
-    reference.FlushAll();
-    EXPECT_EQ(SnapshotBlobPayload(engine->Snapshot()), reference.Serialize());
+    EXPECT_EQ(SnapshotBlobPayload(engine->Snapshot()),
+              detail::SerializeShards(Pointers(shards), spec.buffer_capacity));
+    const ReqSketch<double> reference =
+        MergeShards(spec.base, Pointers(shards));
     EXPECT_EQ(engine->GetQuantiles(kQs, Criterion::kInclusive),
               reference.GetQuantiles(kQs, Criterion::kInclusive));
     EXPECT_EQ(engine->GetRanks(points, Criterion::kExclusive),
@@ -277,6 +298,39 @@ TEST(ShardedEngine, MatchesInProcessShardsBitIdentically) {
               reference.GetCDF(splits, Criterion::kInclusive));
     EXPECT_EQ(engine->AcceptedN(), pos);
   }
+}
+
+// Golden digest of a sharded metric's SHRQ snapshot payload: FNV-1a over
+// the bytes of a fixed 3-shard spec fed a fixed stream in ragged batches
+// (one of them empty, which still advances the rotation). Pins the SHRQ
+// layout, the shard seeding and the batch rotation together; any change
+// to them changes this digest.
+TEST(ShardedEngine, SnapshotPayloadGoldenDigest) {
+  MetricSpec spec;
+  spec.kind = EngineKind::kSharded;
+  spec.num_shards = 3;
+  spec.base.k_base = 64;
+  spec.base.seed = 4242;
+  spec.buffer_capacity = 4096;
+  SketchRegistry registry;
+  auto engine = registry.Create("m", spec);
+  const std::vector<double> stream = TestStream(17, 50000);
+  size_t pos = 0;
+  size_t step = 5;
+  for (uint64_t batch = 0; pos < stream.size(); ++batch) {
+    const size_t len = (batch == 3) ? 0 : std::min(step, stream.size() - pos);
+    engine->Append(stream.data() + pos, len);
+    pos += len;
+    step = (step > 4000) ? 5 : step * 2 + 3;
+  }
+  const std::vector<uint8_t> payload = SnapshotBlobPayload(engine->Snapshot());
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (uint8_t byte : payload) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(payload.size(), 98786u);
+  EXPECT_EQ(hash, 0xf099e0d84f1f5eedULL) << std::hex << " got 0x" << hash;
 }
 
 // --- windowed engine -------------------------------------------------------
@@ -381,10 +435,8 @@ TEST(EngineQueries, InterleavedQueriesMatchFreshReferenceEveryKind) {
                             criterion);
           break;
         case EngineKind::kSharded:
-          ExpectSameAnswers(
-              engine.get(),
-              concurrency::ShardedReqSketch<double>::Deserialize(payload),
-              criterion);
+          ExpectSameAnswers(engine.get(), MergeSnapshotShards(payload),
+                            criterion);
           break;
         case EngineKind::kWindowed:
           ExpectSameAnswers(

@@ -1,22 +1,20 @@
-// Property tests for the sharded orchestrator: shard-count invariance of
-// the error guarantee (1, 2, and 8 shards must all stay inside the rank
-// confidence envelope on the standard workload distributions) and
-// reproducibility (fixed seeds + fixed flush schedule give byte-identical
-// serialized state across runs, even with real producer threads).
+// Property tests for sharded ingestion: shard-count invariance of the
+// error guarantee (Theorem 3). A stream split over 1, 2 or 8 plain
+// ReqSketch shards and answered through MergeShards (the merged view a
+// kSharded service metric answers from) must stay inside the rank
+// confidence envelope on the standard workload distributions.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
-#include "concurrency/sharded_req_sketch.h"
+#include "core/req_sketch.h"
 #include "sim/metrics.h"
 #include "workload/distributions.h"
 
 namespace req {
-namespace concurrency {
 namespace {
 
 using workload::DistKind;
@@ -26,16 +24,32 @@ using ShardParam = std::tuple<size_t /*shards*/, DistKind>;
 class ShardCountInvariance : public ::testing::TestWithParam<ShardParam> {
  protected:
   static constexpr size_t kN = 40000;
-  static constexpr uint32_t kBase = 32;
 
-  static ShardedReqConfig Config(size_t shards) {
-    ShardedReqConfig config;
-    config.num_shards = shards;
-    config.buffer_capacity = 512;
-    config.base.k_base = kBase;
-    config.base.accuracy = RankAccuracy::kHighRanks;
-    config.base.seed = 1234;
+  static ReqConfig BaseConfig() {
+    ReqConfig config;
+    config.k_base = 32;
+    config.accuracy = RankAccuracy::kHighRanks;
+    config.seed = 1234;
     return config;
+  }
+
+  // Item i goes into shard i % shards; shard s is seeded base.seed + s.
+  // Returns the MergeShards view over the shards.
+  static ReqSketch<double> ShardAndMerge(const std::vector<double>& values,
+                                         size_t shards) {
+    std::vector<ReqSketch<double>> parts;
+    parts.reserve(shards);
+    for (size_t s = 0; s < shards; ++s) {
+      ReqConfig config = BaseConfig();
+      config.seed += s;
+      parts.emplace_back(config);
+    }
+    for (size_t i = 0; i < values.size(); ++i) {
+      parts[i % shards].Update(values[i]);
+    }
+    std::vector<const ReqSketch<double>*> pointers;
+    for (const auto& part : parts) pointers.push_back(&part);
+    return MergeShards(BaseConfig(), pointers);
   }
 };
 
@@ -45,20 +59,15 @@ class ShardCountInvariance : public ::testing::TestWithParam<ShardParam> {
 TEST_P(ShardCountInvariance, RankErrorEnvelope) {
   const auto& [shards, dist] = GetParam();
   const auto values = workload::Generate(dist, kN, /*seed=*/31337);
-
-  ShardedReqSketch<double> sketch(Config(shards));
-  for (size_t i = 0; i < values.size(); ++i) {
-    sketch.Update(i % shards, values[i]);
-  }
-  sketch.FlushAll();
-  ASSERT_EQ(sketch.n(), values.size());
+  const ReqSketch<double> merged = ShardAndMerge(values, shards);
+  ASSERT_EQ(merged.n(), values.size());
 
   sim::RankOracle oracle(values);
   const auto grid = sim::GeometricRankGrid(values.size(), true);
   const auto samples = sim::EvaluateRankErrors(
-      oracle, [&](double y) { return sketch.GetRank(y); }, grid, true);
+      oracle, [&](double y) { return merged.GetRank(y); }, grid, true);
   EXPECT_LT(sim::Summarize(samples).max_relative_error,
-            6.0 * sketch.RelativeStdErr());
+            6.0 * merged.RelativeStdErr());
 }
 
 // The true rank must (almost) always lie inside the 3-standard-deviation
@@ -66,12 +75,7 @@ TEST_P(ShardCountInvariance, RankErrorEnvelope) {
 TEST_P(ShardCountInvariance, ConfidenceBoundsCoverTrueRank) {
   const auto& [shards, dist] = GetParam();
   const auto values = workload::Generate(dist, kN, /*seed=*/4711);
-
-  ShardedReqSketch<double> sketch(Config(shards));
-  for (size_t i = 0; i < values.size(); ++i) {
-    sketch.Update(i % shards, values[i]);
-  }
-  sketch.FlushAll();
+  const ReqSketch<double> merged = ShardAndMerge(values, shards);
 
   sim::RankOracle oracle(values);
   const auto grid = sim::GeometricRankGrid(values.size(), true);
@@ -79,8 +83,8 @@ TEST_P(ShardCountInvariance, ConfidenceBoundsCoverTrueRank) {
   for (uint64_t r : grid) {
     const double item = oracle.ItemAtRank(r);
     const uint64_t truth = oracle.RankInclusive(item);
-    const uint64_t lo = sketch.GetRankLowerBound(item, 3);
-    const uint64_t hi = sketch.GetRankUpperBound(item, 3);
+    const uint64_t lo = merged.GetRankLowerBound(item, 3);
+    const uint64_t hi = merged.GetRankUpperBound(item, 3);
     ASSERT_LE(lo, hi);
     if (lo <= truth && truth <= hi) ++covered;
   }
@@ -102,52 +106,5 @@ INSTANTIATE_TEST_SUITE_P(
              workload::DistName(std::get<1>(info.param));
     });
 
-// Fixed seed + fixed per-shard inputs + fixed flush schedule must
-// reproduce byte-identical serialized state, run after run, threads or
-// no threads: a shard's content depends only on its own stream, never on
-// cross-shard timing.
-TEST(ShardedDeterminismTest, ByteIdenticalAcrossRunsAndThreading) {
-  constexpr size_t kShards = 4;
-  const auto values = workload::GenerateLognormal(60000, 2024);
-  std::vector<std::vector<double>> slices(kShards);
-  for (size_t i = 0; i < values.size(); ++i) {
-    slices[i % kShards].push_back(values[i]);
-  }
-
-  ShardedReqConfig config;
-  config.num_shards = kShards;
-  config.buffer_capacity = 256;
-  config.base.k_base = 16;
-  config.base.seed = 77;
-
-  auto run_threaded = [&]() {
-    ShardedReqSketch<double> sketch(config);
-    std::vector<std::thread> producers;
-    for (size_t shard = 0; shard < kShards; ++shard) {
-      producers.emplace_back([&, shard] {
-        for (double v : slices[shard]) sketch.Update(shard, v);
-      });
-    }
-    for (auto& p : producers) p.join();
-    sketch.FlushAll();
-    return sketch.Serialize();
-  };
-
-  const auto run1 = run_threaded();
-  const auto run2 = run_threaded();
-  EXPECT_EQ(run1, run2) << "threaded runs must be bit-reproducible";
-
-  // A single-threaded run over the same per-shard slices (same flush
-  // boundaries: every buffer fill plus the final FlushAll) is the same
-  // sketch again.
-  ShardedReqSketch<double> sequential(config);
-  for (size_t shard = 0; shard < kShards; ++shard) {
-    sequential.Update(shard, slices[shard]);
-  }
-  sequential.FlushAll();
-  EXPECT_EQ(sequential.Serialize(), run1);
-}
-
 }  // namespace
-}  // namespace concurrency
 }  // namespace req

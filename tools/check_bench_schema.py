@@ -136,32 +136,6 @@ SCHEMAS = {
             "results": {"metric", "k", "value", "unit"},
         },
     },
-    "e14_scaling": {
-        "top": {
-            "experiment",
-            "items_per_thread",
-            "reps",
-            "smoke",
-            "hardware_threads",
-            "buffer_capacity",
-            "results",
-            "plain_baseline",
-            "summary",
-        },
-        "arrays": {
-            "results": {
-                "k",
-                "threads",
-                "shards",
-                "wall_mups",
-                "agg_cpu_mups",
-                "merged_build_us",
-                "warm_rank_ns",
-            },
-            "plain_baseline": {"k", "plain_mups"},
-            "summary": {"k", "agg_speedup_8v1", "sharded_vs_plain_1t"},
-        },
-    },
     "e15_window": {
         "top": {
             "experiment",
